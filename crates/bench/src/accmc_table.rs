@@ -12,9 +12,10 @@
 //! compiled` switches the whole-space evaluation to the d-DNNF
 //! compile-once/query-many plan (all six families ride it through their
 //! decision regions, with `--vote-nodes` bounding the vote circuits), and
-//! `--cache-dir DIR` persists the count cache across processes.
-//! `--artifact-dir DIR` (compiled engine only, repeatable) additionally
-//! persists the compiled circuits and decision-region covers — every
+//! `--cache-dir DIR` (without the compiled engine) persists the count
+//! cache across processes. `--artifact-dir DIR` (compiled engine only,
+//! repeatable) persists the compiled circuits and decision-region covers
+//! instead — every
 //! named directory is preloaded on the next run and the fresh build is
 //! saved to the first, forming the warm store(s) the `mcml-serve` query
 //! service reads.
@@ -109,13 +110,19 @@ fn warn_failed_cell(cell: &CellError) {
     );
 }
 
-/// The cache file under `--cache-dir`, if configured. The file name spells
-/// out the backend so differently-configured runs (exact / approx /
-/// compiled) never read each other's outcomes.
+/// The cache file under `--cache-dir`, if configured and meaningful: the
+/// compiled engine answers its region counts from circuits, not from the
+/// whole-formula count cache, so the flag warns and is ignored there (its
+/// warm start is `--artifact-dir`). The file name spells out the backend
+/// so differently-configured runs (exact / approx) never read each
+/// other's outcomes.
 fn cache_file(args: &HarnessArgs) -> Option<PathBuf> {
-    args.cache_dir
-        .as_ref()
-        .map(|dir| dir.join(persist::cache_file_name(&args.backend().cache_tag())))
+    let dir = args.cache_dir.as_ref()?;
+    if args.engine == CountingEngine::Compiled {
+        eprintln!("warning: --cache-dir is ignored with --engine compiled (use --artifact-dir)");
+        return None;
+    }
+    Some(dir.join(persist::cache_file_name(&args.backend().cache_tag())))
 }
 
 /// The circuit-artifact files under the `--artifact-dir`s, if configured
@@ -171,8 +178,9 @@ pub fn run_accmc_table(
         }
     }
     let backend = CachedCounter::new(inner);
-    if let Some(path) = cache_file(args) {
-        match persist::load_outcomes(&path, &args.backend().cache_tag()) {
+    let cache_path = cache_file(args);
+    if let Some(path) = &cache_path {
+        match persist::load_outcomes(path, &args.backend().cache_tag()) {
             Ok(entries) => {
                 eprintln!(
                     "(loaded {} cached counts from {})",
@@ -251,8 +259,8 @@ pub fn run_accmc_table(
         );
     }
 
-    if let Some(path) = cache_file(args) {
-        match persist::save_outcomes(&path, &args.backend().cache_tag(), &backend.snapshot()) {
+    if let Some(path) = &cache_path {
+        match persist::save_outcomes(path, &args.backend().cache_tag(), &backend.snapshot()) {
             Ok(written) => eprintln!("(saved {} cached counts to {})", written, path.display()),
             Err(e) => eprintln!(
                 "warning: failed to save count cache {}: {e}",

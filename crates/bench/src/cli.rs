@@ -2,7 +2,8 @@
 //!
 //! Every `table*` binary accepts the same small set of flags:
 //!
-//! * `--scope N` — override the per-property study scope;
+//! * `--scope N` — override the per-property study scope (at most
+//!   [`MAX_SCOPE`]);
 //! * `--approx` — use the approximate counter instead of the exact one;
 //! * `--max-positive N` — cap on enumerated positive samples;
 //! * `--seed N` — RNG seed;
@@ -24,9 +25,9 @@
 //!   compiled engine's region-extraction BDDs and the ABT CNF vote
 //!   diagram); an ensemble exceeding it fails with a typed
 //!   `VoteCircuitTooLarge` error instead of exhausting memory;
-//! * `--budget N` — decision/node budget for the exact and compiled
-//!   backends (default 20 000 000); a count exceeding it reports
-//!   `BudgetExhausted` instead of hanging;
+//! * `--budget N` — decision budget for the exact and compiled backends
+//!   (default 20 000 000); a count exceeding it reports `BudgetExhausted`
+//!   instead of hanging;
 //! * `--fallback exact|approx[:eps,delta]` — what a blown budget does to a
 //!   row: `exact` (the default) keeps today's "-" cells, `approx` climbs
 //!   the degradation ladder (symmetry-broken exact retry, then per-region
@@ -36,7 +37,8 @@
 //!   holding the whole table until the batch ends; per-cell errors are
 //!   reported inline and the run keeps going;
 //! * `--cache-dir DIR` — persist the count cache to `DIR` and reload it on
-//!   the next run (cross-process reuse);
+//!   the next run (cross-process reuse); ignored with `--engine compiled`,
+//!   whose warm start is `--artifact-dir`;
 //! * `--artifact-dir DIR` — with `--engine compiled`, persist the compiled
 //!   circuits and decision-region covers (one `circuits.compiled.v2.bin`
 //!   per directory, overwritten) and preload them on the next run — the
@@ -55,11 +57,16 @@ use mlkit::quant::DEFAULT_QUANT_BITS;
 use relspec::properties::Property;
 use std::path::PathBuf;
 
+/// The largest `--scope`: scope 11 has 121 primary variables, the last
+/// space whose counts fit a `u128` and the exact counters' 128-variable
+/// projection limit.
+pub const MAX_SCOPE: usize = 11;
+
 /// Usage summary printed (with the offending error) when argument parsing
 /// fails.
 pub const USAGE: &str = "\
 usage: table* [flags]
-  --scope N                     override the per-property study scope
+  --scope N                     override the per-property study scope (max 11)
   --approx                      use the approximate counter
   --exact                       use the exact counter (default)
   --max-positive N              cap on enumerated positive samples
@@ -73,11 +80,12 @@ usage: table* [flags]
   --threads N                   worker threads for the batch runner (0 = cores)
   --engine classic|compiled     whole-space counting strategy
   --vote-nodes N                node budget for ensemble vote circuits
-  --budget N                    decision/node budget for counting backends
+  --budget N                    decision budget for the exact and compiled engines
   --fallback exact|approx[:eps,delta]
                                 what a blown counting budget does to a row
   --stream                      print rows in completion order
-  --cache-dir DIR               persist the count cache across runs
+  --cache-dir DIR               persist the count cache across runs (not with
+                                --engine compiled; use --artifact-dir)
   --artifact-dir DIR            persist/preload compiled circuit artifacts";
 
 /// Parsed harness arguments.
@@ -105,7 +113,7 @@ pub struct HarnessArgs {
     pub engine: CountingEngine,
     /// Node budget for ensemble vote circuits (region-extraction BDDs).
     pub vote_nodes: usize,
-    /// Decision/node budget for the exact and compiled counting backends.
+    /// Decision budget for the exact and compiled counting backends.
     pub budget: u64,
     /// Degradation policy applied when a count exhausts the budget.
     pub fallback: FallbackPolicy,
@@ -166,7 +174,11 @@ impl HarnessArgs {
             match arg.as_str() {
                 "--scope" => {
                     let v = value(&mut iter, "--scope", "a value")?;
-                    out.scope = Some(number(&v, "--scope")?);
+                    let scope = number(&v, "--scope")?;
+                    if scope > MAX_SCOPE {
+                        return Err(format!("--scope must be at most {MAX_SCOPE}"));
+                    }
+                    out.scope = Some(scope);
                 }
                 "--approx" => out.approx = true,
                 "--exact" => out.approx = false,
@@ -434,6 +446,12 @@ mod tests {
     #[test]
     fn unknown_fallback_is_a_usage_error() {
         assert!(parse_err(&["--fallback", "magic"]).contains("unknown fallback policy"));
+    }
+
+    #[test]
+    fn scope_past_the_128_bit_limit_is_a_usage_error() {
+        assert_eq!(parse(&["--scope", "11"]).scope, Some(MAX_SCOPE));
+        assert_eq!(parse_err(&["--scope", "12"]), "--scope must be at most 11");
     }
 
     #[test]

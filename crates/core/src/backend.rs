@@ -3,9 +3,11 @@
 //! MCML's tool supports two back-ends: the exact counter (ProjMC in the
 //! paper, [`modelcount::exact`] here) and the approximate counter (ApproxMC
 //! in the paper, [`modelcount::approx`] here); the reproduction adds a
-//! third, the compile-once/query-many
-//! [`CompiledCounter`] built on
-//! [`satkit::ddnnf`]. [`CounterBackend`] is a thin runtime selector among
+//! third, the compile-once/query-many [`CompiledCounter`]. Both exact
+//! backends run the same [`satkit::ddnnf`] search: the exact counter
+//! counts each formula's circuit once and drops it, the compiled counter
+//! caches the circuit and answers cube queries from it.
+//! [`CounterBackend`] is a thin runtime selector among
 //! them, kept for CLI-style call sites; the evaluation core itself is
 //! generic over any [`ModelCounter`] (and
 //! [`QueryCounter`](crate::counter::QueryCounter) for conditioned query
@@ -21,7 +23,7 @@ use satkit::cnf::Cnf;
 #[derive(Debug, Clone)]
 pub enum CounterBackend {
     /// Exact counting (the ProjMC role); reports
-    /// [`CountOutcome::BudgetExhausted`] when its node budget runs out.
+    /// [`CountOutcome::BudgetExhausted`] when its decision budget runs out.
     Exact(ExactCounter),
     /// Approximate counting (the ApproxMC role).
     Approx(ApproxCounter),
@@ -36,7 +38,8 @@ impl CounterBackend {
         CounterBackend::Exact(ExactCounter::new())
     }
 
-    /// An exact backend that gives up after `max_nodes` search nodes.
+    /// An exact backend that gives up after `max_nodes` branching
+    /// decisions.
     pub fn exact_with_budget(max_nodes: u64) -> Self {
         CounterBackend::Exact(ExactCounter::with_node_budget(max_nodes))
     }

@@ -49,9 +49,11 @@ pub enum CountOutcome {
         /// Confidence parameter δ of the estimate.
         delta: f64,
     },
-    /// The counter gave up before producing a value (the paper's time-outs).
+    /// The counter gave up before producing a value: the paper's time-outs,
+    /// or a projection set past the exact counters' 128-variable limit.
     BudgetExhausted {
-        /// Search nodes explored before the budget ran out.
+        /// Branching decisions made before the counter gave up (0 when
+        /// the projection set was refused up front).
         nodes_used: u64,
     },
 }
@@ -132,8 +134,7 @@ pub trait QueryCounter: ModelCounter {
     /// The provided implementation answers cube by cube (correct for any
     /// backend). [`CompiledCounter`] overrides it to resolve the circuit
     /// once and evaluate the entire batch in a single topological sweep
-    /// ([`Ddnnf::count_cubes`]); [`CachedCounter`] overrides it to serve
-    /// memoized cubes from its cache and forward only the misses to the
+    /// ([`Ddnnf::count_cubes`]); [`CachedCounter`] forwards it to the
     /// inner counter's batch path.
     ///
     /// Cubes are borrowed slices so the region-sum plans can pass their
@@ -174,6 +175,17 @@ pub(crate) fn debug_assert_batch_complete(outcomes: &[CountOutcome], cubes: usiz
     );
 }
 
+/// The outcome of a search that gave up. Both causes carry no value; a
+/// projection set past the 128-variable limit is refused before the first
+/// decision, so it is never reported as a saturated count.
+fn search_failure(error: CompileError) -> CountOutcome {
+    let nodes_used = match error {
+        CompileError::BudgetExhausted { decisions } => decisions,
+        CompileError::TooManyProjectionVars { .. } => 0,
+    };
+    CountOutcome::BudgetExhausted { nodes_used }
+}
+
 impl ModelCounter for ExactCounter {
     fn name(&self) -> &str {
         "exact"
@@ -182,9 +194,7 @@ impl ModelCounter for ExactCounter {
     fn count(&self, cnf: &Cnf) -> CountOutcome {
         match self.try_count(cnf) {
             Ok((value, _)) => CountOutcome::Exact(value),
-            Err(stats) => CountOutcome::BudgetExhausted {
-                nodes_used: stats.nodes,
-            },
+            Err(error) => search_failure(error),
         }
     }
 }
@@ -282,12 +292,11 @@ pub struct CompileCacheStats {
 /// bounds the component store to its live working set at batch boundaries.
 ///
 /// A formula whose projection set exceeds the circuit representation's
-/// 128-variable limit (beyond every scope of the study) falls back to an
-/// in-place [`ExactCounter`] search with the same node budget.
+/// 128-variable limit (beyond every scope of the study) is reported as
+/// [`CountOutcome::BudgetExhausted`], like every other failed compile.
 #[derive(Debug, Clone)]
 pub struct CompiledCounter {
-    compiler: Compiler,
-    fallback: ExactCounter,
+    max_decisions: u64,
     circuits: Arc<Mutex<CircuitCache>>,
     shared: Arc<SharedComponentCache>,
     hits: Arc<AtomicU64>,
@@ -315,26 +324,17 @@ impl Default for CompiledCounter {
 impl CompiledCounter {
     /// A compiled counter with no compilation budget.
     pub fn new() -> Self {
-        CompiledCounter::with_budget(Compiler::new(), ExactCounter::new())
+        CompiledCounter::with_decision_budget(u64::MAX)
     }
 
     /// A compiled counter that gives up on a formula after `max_decisions`
     /// compilation decisions (reported as
     /// [`CountOutcome::BudgetExhausted`], like the search counters).
     pub fn with_decision_budget(max_decisions: u64) -> Self {
-        CompiledCounter::with_budget(
-            Compiler::with_decision_budget(max_decisions),
-            ExactCounter::with_node_budget(max_decisions),
-        )
-    }
-
-    fn with_budget(compiler: Compiler, fallback: ExactCounter) -> Self {
-        let shared = Arc::new(SharedComponentCache::new());
         CompiledCounter {
-            compiler: compiler.with_shared_cache(Arc::clone(&shared)),
-            fallback,
+            max_decisions,
             circuits: Arc::new(Mutex::new(HashMap::new())),
-            shared,
+            shared: Arc::new(SharedComponentCache::new()),
             hits: Arc::new(AtomicU64::new(0)),
             misses: Arc::new(AtomicU64::new(0)),
         }
@@ -472,7 +472,9 @@ impl CompiledCounter {
         // Compile outside the lock so concurrent misses on different
         // formulas proceed in parallel (a duplicated compile on the same
         // formula is merely redundant work, never wrong).
-        let compiled = Arc::new(self.compiler.compile(cnf));
+        let compiler = Compiler::with_decision_budget(self.max_decisions)
+            .with_shared_cache(Arc::clone(&self.shared));
+        let compiled = Arc::new(compiler.compile(cnf));
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.circuits
             .lock()
@@ -490,12 +492,7 @@ impl CompiledCounter {
     fn outcome(&self, cnf: &Cnf, cube: &[Lit]) -> CountOutcome {
         match &*self.circuit(cnf) {
             Ok(circuit) => CountOutcome::Exact(circuit.count_conditioned(cube)),
-            Err(CompileError::BudgetExhausted { decisions }) => CountOutcome::BudgetExhausted {
-                nodes_used: *decisions,
-            },
-            Err(CompileError::TooManyProjectionVars { .. }) => {
-                QueryCounter::count_conditioned(&self.fallback, cnf, cube)
-            }
+            Err(error) => search_failure(*error),
         }
     }
 }
@@ -509,11 +506,12 @@ impl ModelCounter for CompiledCounter {
         self.outcome(cnf, &[])
     }
 
-    /// One-shot formulas are answered by the search fallback (same budget)
-    /// — compiling them would cost more than the search and permanently
-    /// cache a circuit that is never queried again.
+    /// One-shot formulas get one uncached [`ExactCounter`] count with the
+    /// same budget: caching their circuits (or feeding their components to
+    /// the shared store) would only grow memory that is never queried
+    /// again.
     fn count_transient(&self, cnf: &Cnf) -> CountOutcome {
-        ModelCounter::count(&self.fallback, cnf)
+        ModelCounter::count(&ExactCounter::with_node_budget(self.max_decisions), cnf)
     }
 }
 
@@ -537,14 +535,7 @@ impl QueryCounter for CompiledCounter {
                 .collect(),
             // Compilation is all-or-nothing: one exhausted outcome ends
             // the batch (the early-exit contract of the trait method).
-            Err(CompileError::BudgetExhausted { decisions }) => {
-                vec![CountOutcome::BudgetExhausted {
-                    nodes_used: *decisions,
-                }]
-            }
-            Err(CompileError::TooManyProjectionVars { .. }) => {
-                QueryCounter::count_cubes(&self.fallback, cnf, cubes)
-            }
+            Err(error) => vec![search_failure(*error)],
         }
     }
 }
@@ -559,56 +550,34 @@ pub fn cnf_fingerprint(cnf: &Cnf) -> u128 {
     cnf_cube_fingerprint(cnf, &[])
 }
 
-/// Fingerprint of `cnf ∧ cube`, used by [`CachedCounter`] to memoize
-/// conditioned queries. With an empty cube this equals [`cnf_fingerprint`],
-/// so plain and conditioned counts of the same formula share one entry.
+/// Fingerprint of `cnf ∧ cube`, the seed of the fallback ladder's
+/// approximate rung ([`crate::fallback::derive_seed`]). With an empty cube
+/// this equals [`cnf_fingerprint`].
 pub fn cnf_cube_fingerprint(cnf: &Cnf, cube: &[Lit]) -> u128 {
-    CnfPrefixHashers::new(cnf).cube_fingerprint(cube)
-}
-
-/// The two salted hasher states of [`cnf_cube_fingerprint`] with the CNF
-/// prefix already absorbed. Batch callers hash the formula **once** and
-/// clone the states per cube, so fingerprinting a k-cube batch costs one
-/// pass over the CNF plus k passes over the (tiny) cubes — not k full
-/// formula re-hashes.
-struct CnfPrefixHashers(DefaultHasher, DefaultHasher);
-
-impl CnfPrefixHashers {
-    fn new(cnf: &Cnf) -> Self {
-        let pass = |salt: u64| -> DefaultHasher {
-            let mut h = DefaultHasher::new();
-            salt.hash(&mut h);
-            cnf.num_vars().hash(&mut h);
-            for v in cnf.projection() {
-                v.0.hash(&mut h);
-            }
-            0xffff_ffffu64.hash(&mut h); // separator between projection and clauses
-            for clause in cnf.clauses() {
-                for lit in clause.iter() {
-                    lit.code().hash(&mut h);
-                }
-                u64::MAX.hash(&mut h); // clause separator
-            }
-            h
-        };
-        CnfPrefixHashers(pass(0x9E37_79B9_7F4A_7C15), pass(0xC2B2_AE3D_27D4_EB4F))
-    }
-
-    fn cube_fingerprint(&self, cube: &[Lit]) -> u128 {
-        let finish = |prefix: &DefaultHasher| -> u64 {
-            let mut h = prefix.clone();
-            // A cube literal hashes exactly like the equivalent unit clause,
-            // so the fingerprint of (cnf, cube) equals that of cnf ∧ cube
-            // built by appending units — cache entries are shared across
-            // both routes.
-            for lit in cube {
+    let pass = |salt: u64| -> u64 {
+        let mut h = DefaultHasher::new();
+        salt.hash(&mut h);
+        cnf.num_vars().hash(&mut h);
+        for v in cnf.projection() {
+            v.0.hash(&mut h);
+        }
+        0xffff_ffffu64.hash(&mut h); // separator between projection and clauses
+        for clause in cnf.clauses() {
+            for lit in clause.iter() {
                 lit.code().hash(&mut h);
-                u64::MAX.hash(&mut h);
             }
-            h.finish()
-        };
-        (u128::from(finish(&self.0)) << 64) | u128::from(finish(&self.1))
-    }
+            u64::MAX.hash(&mut h); // clause separator
+        }
+        // A cube literal hashes exactly like the equivalent unit clause, so
+        // the fingerprint of (cnf, cube) equals that of cnf ∧ cube built by
+        // appending units.
+        for lit in cube {
+            lit.code().hash(&mut h);
+            u64::MAX.hash(&mut h);
+        }
+        h.finish()
+    };
+    (u128::from(pass(0x9E37_79B9_7F4A_7C15)) << 64) | u128::from(pass(0xC2B2_AE3D_27D4_EB4F))
 }
 
 /// Hit/miss statistics of a [`CachedCounter`].
@@ -629,6 +598,11 @@ pub struct CacheStats {
 /// `CachedCounter` makes every repeat free. The cache is internally
 /// synchronized, so one instance can serve all threads of a
 /// [`Runner`](crate::framework::Runner).
+///
+/// Only whole formulas are memoized. Conditioned and batched cube queries
+/// go straight to the inner counter's native path: a [`CompiledCounter`]
+/// already answers them from its cached circuit, and a per-cube memo in
+/// front of that sweep almost never hits.
 #[derive(Debug, Default)]
 pub struct CachedCounter<C> {
     inner: C,
@@ -692,8 +666,9 @@ impl<C: ModelCounter> CachedCounter<C> {
         }
     }
 
-    /// Memoized lookup shared by the plain and conditioned count paths.
-    fn count_keyed(&self, key: u128, compute: impl FnOnce() -> CountOutcome) -> CountOutcome {
+    /// Memoized lookup shared by the plain and transient count paths.
+    fn count_keyed(&self, cnf: &Cnf, compute: impl FnOnce() -> CountOutcome) -> CountOutcome {
+        let key = cnf_fingerprint(cnf);
         if let Some(&outcome) = self.cache.lock().expect("cache poisoned").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return outcome;
@@ -717,89 +692,24 @@ impl<C: ModelCounter> ModelCounter for CachedCounter<C> {
     }
 
     fn count(&self, cnf: &Cnf) -> CountOutcome {
-        self.count_keyed(cnf_fingerprint(cnf), || self.inner.count(cnf))
+        self.count_keyed(cnf, || self.inner.count(cnf))
     }
 
     /// Outcomes of transient counts are still memoized (they are cheap to
     /// keep, and identical table rows do repeat them); only the inner
     /// counter is told not to build reusable artifacts.
     fn count_transient(&self, cnf: &Cnf) -> CountOutcome {
-        self.count_keyed(cnf_fingerprint(cnf), || self.inner.count_transient(cnf))
+        self.count_keyed(cnf, || self.inner.count_transient(cnf))
     }
 }
 
 impl<C: QueryCounter> QueryCounter for CachedCounter<C> {
-    /// Memoizes conditioned counts too, delegating cache misses to the
-    /// inner counter's *native* conditioned path — so a cached
-    /// [`CompiledCounter`] still answers misses from its compiled circuit
-    /// instead of re-counting a conjunction.
     fn count_conditioned(&self, cnf: &Cnf, cube: &[Lit]) -> CountOutcome {
-        self.count_keyed(cnf_cube_fingerprint(cnf, cube), || {
-            self.inner.count_conditioned(cnf, cube)
-        })
+        self.inner.count_conditioned(cnf, cube)
     }
 
-    /// Splits the batch into memoized and novel cubes: hits come straight
-    /// from the cache, and the misses are forwarded **together** to the
-    /// inner counter's batch path so a compiled backend still answers them
-    /// with one circuit sweep.
     fn count_cubes(&self, cnf: &Cnf, cubes: &[&[Lit]]) -> Vec<CountOutcome> {
-        // Hash the formula once; each cube only finishes the cloned state.
-        let prefix = CnfPrefixHashers::new(cnf);
-        let keys: Vec<u128> = cubes
-            .iter()
-            .map(|cube| prefix.cube_fingerprint(cube))
-            .collect();
-        // Each resolved slot remembers whether it came from the cache, so
-        // the hit/miss statistics below count exactly the outcomes the
-        // caller receives — preserving the scalar path's invariant of one
-        // increment per delivered count even when the batch truncates.
-        let mut results: Vec<Option<(CountOutcome, bool)>> = vec![None; cubes.len()];
-        let mut missing: Vec<usize> = Vec::new();
-        {
-            let cache = self.cache.lock().expect("cache poisoned");
-            for (i, key) in keys.iter().enumerate() {
-                match cache.get(key) {
-                    Some(&outcome) => results[i] = Some((outcome, true)),
-                    None => missing.push(i),
-                }
-            }
-        }
-        if !missing.is_empty() {
-            // Count outside the lock, like the scalar path.
-            let novel: Vec<&[Lit]> = missing.iter().map(|&i| cubes[i]).collect();
-            let outcomes = self.inner.count_cubes(cnf, &novel);
-            let mut cache = self.cache.lock().expect("cache poisoned");
-            for (&i, outcome) in missing.iter().zip(outcomes) {
-                cache.insert(keys[i], outcome);
-                results[i] = Some((outcome, false));
-            }
-        }
-        // The inner counter may have stopped at an exhausted count,
-        // leaving later misses unresolved. Honor the trait contract by
-        // truncating at the first exhausted outcome **inclusive** — a
-        // memoized hit sitting past it must be dropped too, or the batch
-        // would end in a non-exhausted outcome while still being short.
-        let mut complete = Vec::with_capacity(results.len());
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for result in results {
-            let Some((outcome, from_cache)) = result else {
-                break;
-            };
-            if from_cache {
-                hits += 1;
-            } else {
-                misses += 1;
-            }
-            let exhausted = outcome.is_budget_exhausted();
-            complete.push(outcome);
-            if exhausted {
-                break;
-            }
-        }
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
-        complete
+        self.inner.count_cubes(cnf, cubes)
     }
 }
 
@@ -972,6 +882,25 @@ mod tests {
         assert!(compiled.count(&chain_cnf()).is_budget_exhausted());
     }
 
+    #[test]
+    fn projections_past_128_variables_never_count_as_exact() {
+        // 129 free projection variables: 2^129 models, which no u128 holds.
+        let wide = Cnf::new(129);
+        let outcomes = [
+            ModelCounter::count(&ExactCounter::new(), &wide),
+            ExactCounter::new().count_transient(&wide),
+            CompiledCounter::new().count(&wide),
+            CompiledCounter::new().count_transient(&wide),
+            CompiledCounter::new().count_conditioned(&wide, &[Lit::pos(0)]),
+        ];
+        for outcome in outcomes {
+            assert_eq!(outcome, CountOutcome::BudgetExhausted { nodes_used: 0 });
+        }
+        let cube = [Lit::pos(0)];
+        let batch = CompiledCounter::new().count_cubes(&wide, &[&cube[..], &cube[..]]);
+        assert_eq!(batch, vec![CountOutcome::BudgetExhausted { nodes_used: 0 }]);
+    }
+
     /// A chain CNF that exhausts any zero/low decision budget.
     fn chain_cnf() -> Cnf {
         let mut chain = Cnf::new(20);
@@ -1007,36 +936,6 @@ mod tests {
         let outcomes = cached.count_cubes(&chain, &cubes);
         assert_eq!(outcomes.len(), 1, "nothing past the exhausted count");
         assert!(outcomes[0].is_budget_exhausted());
-    }
-
-    #[test]
-    fn cached_batch_drops_memoized_hits_past_the_exhausted_count() {
-        let cached = CachedCounter::new(CompiledCounter::with_decision_budget(2));
-        let chain = chain_cnf();
-        let a = [Lit::pos(0)];
-        let b = [Lit::pos(1)];
-        let c = [Lit::pos(2)];
-        // Plant a memoized success for the middle cube, as a persist
-        // preload would; the inner counter exhausts on the surrounding
-        // misses, so the batch must still end at the exhausted count —
-        // not at the stale hit behind it.
-        cached.preload([(cnf_cube_fingerprint(&chain, &b), CountOutcome::Exact(7))]);
-        let cubes: Vec<&[Lit]> = vec![&a, &b, &c];
-        let outcomes = cached.count_cubes(&chain, &cubes);
-        assert!(
-            outcomes
-                .last()
-                .expect("non-empty batch")
-                .is_budget_exhausted(),
-            "a short batch must end in the exhausted count, got {outcomes:?}"
-        );
-        assert!(outcomes.len() <= 2);
-        let stats = cached.stats();
-        assert_eq!(
-            stats.hits + stats.misses,
-            outcomes.len() as u64,
-            "one hit-or-miss increment per delivered outcome, got {stats:?}"
-        );
     }
 
     #[test]
@@ -1110,18 +1009,6 @@ mod tests {
             "conditioned and conjunction routes must share cache entries"
         );
         assert_eq!(cnf_cube_fingerprint(&cnf, &[]), cnf_fingerprint(&cnf));
-    }
-
-    #[test]
-    fn cached_counter_memoizes_conditioned_counts() {
-        let cached = CachedCounter::new(CompiledCounter::new());
-        let cnf = clause_cnf();
-        let cube = [Lit::pos(0)];
-        assert_eq!(cached.count_conditioned(&cnf, &cube).value(), Some(4));
-        assert_eq!(cached.count_conditioned(&cnf, &cube).value(), Some(4));
-        let stats = cached.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 1);
     }
 
     #[test]

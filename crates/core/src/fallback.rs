@@ -50,10 +50,10 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
 
-/// Fresh node allowance for the rung-2 exact retry and for the one-off
+/// Fresh decision budget for the rung-2 exact retry and for the one-off
 /// lex-leader representative counts behind its correction factor. Matches
-/// the table harness' default decision budget; if the symmetry-broken
-/// query blows this too, the ladder falls through to rung 3.
+/// the table harness' default `--budget`; if the symmetry-broken query
+/// blows this too, the ladder falls through to rung 3.
 const RETRY_NODE_BUDGET: u64 = 20_000_000;
 
 /// What a query plan does when a count comes back `BudgetExhausted`.

@@ -5,332 +5,52 @@
 //! number of assignments to the projection variables that can be extended to
 //! a model of the formula.
 //!
-//! The algorithm is the classic #SAT search specialized to projected
-//! counting:
+//! [`ExactCounter`] runs the workspace's one projected #SAT search, the
+//! [`satkit::ddnnf::Compiler`] (unit propagation, component decomposition
+//! and caching, branching on projection variables only), and counts the
+//! circuit that search records. The circuit is dropped after the count; a
+//! caller that queries one formula many times keeps it instead, through
+//! `mcml::counter::CompiledCounter`.
 //!
-//! 1. unit-propagate the residual formula; projection variables whose clauses
-//!    all became satisfied without the variable being fixed are free and
-//!    contribute a factor of 2 each;
-//! 2. split the residual clauses into connected components (variables are
-//!    connected when they co-occur in a clause) and multiply the component
-//!    counts, caching each component's count;
-//! 3. inside a component, branch only on *projection* variables; once a
-//!    component contains no projection variable it contributes 1 or 0
-//!    depending on plain satisfiability (decided by the CDCL solver).
-//!
-//! Counts are exact `u128` values, sufficient for projection sets up to 127
-//! variables (the reproduction's scopes go up to 11 atoms = 121 variables).
+//! Counts are exact `u128` values. Projection sets are limited to 128
+//! variables (the reproduction's scopes go up to 11 atoms = 121
+//! variables); a larger set fails with
+//! [`CompileError::TooManyProjectionVars`] rather than a saturated count.
 
-use satkit::cnf::{Cnf, Lit};
-use satkit::solver::Solver;
-use std::collections::{HashMap, HashSet};
-
-/// Statistics of an exact counting run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExactStats {
-    /// Number of search nodes explored (branching decisions).
-    pub nodes: u64,
-    /// Number of component cache hits.
-    pub cache_hits: u64,
-    /// Number of SAT-solver calls for projection-free components.
-    pub sat_calls: u64,
-}
+use satkit::cnf::Cnf;
+use satkit::ddnnf::{CompileError, CompileStats, Compiler};
 
 /// Exact projected model counter.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExactCounter {
-    /// Maximum number of search nodes before giving up (`u64::MAX` = never).
-    max_nodes: u64,
-}
-
-impl Default for ExactCounter {
-    fn default() -> Self {
-        ExactCounter::new()
-    }
-}
-
-/// A residual formula: active clauses over not-yet-assigned variables.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Residual {
-    clauses: Vec<Vec<Lit>>,
-}
-
-impl Residual {
-    fn vars(&self) -> HashSet<u32> {
-        self.clauses.iter().flatten().map(|l| l.var().0).collect()
-    }
+    compiler: Compiler,
 }
 
 impl ExactCounter {
-    /// A counter with no node budget.
+    /// A counter with no budget.
     pub fn new() -> Self {
-        ExactCounter {
-            max_nodes: u64::MAX,
-        }
+        ExactCounter::default()
     }
 
-    /// A counter that aborts after exploring `max_nodes` search nodes.
+    /// A counter that gives up after `max_nodes` branching decisions.
     pub fn with_node_budget(max_nodes: u64) -> Self {
-        ExactCounter { max_nodes }
+        ExactCounter {
+            compiler: Compiler::with_decision_budget(max_nodes),
+        }
     }
 
     /// Counts the formula's models projected onto its effective projection
-    /// set. Returns `None` if the node budget is exhausted.
+    /// set. Returns `None` if the search gives up.
     pub fn count(&self, cnf: &Cnf) -> Option<u128> {
-        self.count_with_stats(cnf).map(|(c, _)| c)
+        self.try_count(cnf).ok().map(|(count, _)| count)
     }
 
-    /// Counts and also reports search statistics.
-    pub fn count_with_stats(&self, cnf: &Cnf) -> Option<(u128, ExactStats)> {
-        self.try_count(cnf).ok()
+    /// Counts and reports the search statistics, or says why the search
+    /// gave up.
+    pub fn try_count(&self, cnf: &Cnf) -> Result<(u128, CompileStats), CompileError> {
+        let circuit = self.compiler.compile(cnf)?;
+        Ok((circuit.count(), circuit.stats()))
     }
-
-    /// Counts, reporting search statistics in both outcomes: `Ok` with the
-    /// count on success, `Err` with the statistics at the point the node
-    /// budget ran out.
-    pub fn try_count(&self, cnf: &Cnf) -> Result<(u128, ExactStats), ExactStats> {
-        let projection: HashSet<u32> = cnf.effective_projection().iter().map(|v| v.0).collect();
-
-        // Normalize clauses; tautological clauses are dropped.
-        let mut clauses: Vec<Vec<Lit>> = Vec::with_capacity(cnf.num_clauses());
-        for c in cnf.clauses() {
-            match c.normalized() {
-                None => continue,
-                Some(n) => {
-                    if n.is_empty() {
-                        return Ok((0, ExactStats::default()));
-                    }
-                    clauses.push(n.lits().to_vec());
-                }
-            }
-        }
-        let residual = Residual { clauses };
-
-        // Projection variables never mentioned by the formula are free.
-        let mentioned = residual.vars();
-        let never_mentioned = projection.iter().filter(|v| !mentioned.contains(v)).count() as u32;
-        let scope: HashSet<u32> = projection
-            .iter()
-            .copied()
-            .filter(|v| mentioned.contains(v))
-            .collect();
-
-        let mut ctx = CountCtx {
-            projection,
-            cache: HashMap::new(),
-            stats: ExactStats::default(),
-            max_nodes: self.max_nodes,
-            exhausted: false,
-        };
-        let count = ctx.count_residual(residual, &scope);
-        if ctx.exhausted {
-            Err(ctx.stats)
-        } else {
-            Ok((count.saturating_mul(pow2(never_mentioned)), ctx.stats))
-        }
-    }
-}
-
-fn pow2(exp: u32) -> u128 {
-    if exp >= 128 {
-        u128::MAX
-    } else {
-        1u128 << exp
-    }
-}
-
-struct CountCtx {
-    projection: HashSet<u32>,
-    cache: HashMap<Residual, u128>,
-    stats: ExactStats,
-    max_nodes: u64,
-    exhausted: bool,
-}
-
-impl CountCtx {
-    /// Counts assignments to the projection variables in `scope` that can be
-    /// extended to models of `residual`. Every variable of `scope` occurs in
-    /// `residual` (callers maintain this invariant).
-    fn count_residual(&mut self, residual: Residual, scope: &HashSet<u32>) -> u128 {
-        if self.exhausted {
-            return 0;
-        }
-        // Unit propagation, remembering which scope variables got fixed.
-        let (residual, fixed) = match propagate(residual) {
-            None => return 0,
-            Some(r) => r,
-        };
-        let remaining_vars = residual.vars();
-        // Scope variables that neither got fixed nor still occur are free.
-        let free = scope
-            .iter()
-            .filter(|v| !fixed.contains(v) && !remaining_vars.contains(v))
-            .count() as u32;
-        let factor = pow2(free);
-
-        if residual.clauses.is_empty() {
-            return factor;
-        }
-
-        // Component decomposition; each component's scope is the projection
-        // variables occurring in it.
-        let components = split_components(&residual);
-        let mut total: u128 = factor;
-        for comp in components {
-            let c = self.count_component(comp);
-            if c == 0 {
-                return 0;
-            }
-            total = total.saturating_mul(c);
-        }
-        total
-    }
-
-    fn count_component(&mut self, comp: Residual) -> u128 {
-        if let Some(&c) = self.cache.get(&comp) {
-            self.stats.cache_hits += 1;
-            return c;
-        }
-        // Pick the projection variable with the most occurrences.
-        let mut occurrences: HashMap<u32, usize> = HashMap::new();
-        for lit in comp.clauses.iter().flatten() {
-            let v = lit.var().0;
-            if self.projection.contains(&v) {
-                *occurrences.entry(v).or_default() += 1;
-            }
-        }
-        let comp_scope: HashSet<u32> = occurrences.keys().copied().collect();
-        let branch_var = occurrences
-            .into_iter()
-            .max_by_key(|&(v, count)| (count, std::cmp::Reverse(v)))
-            .map(|(v, _)| v);
-
-        let result = match branch_var {
-            None => {
-                // No projection variable left: the component contributes 1 if
-                // satisfiable, 0 otherwise.
-                self.stats.sat_calls += 1;
-                u128::from(is_satisfiable(&comp))
-            }
-            Some(v) => {
-                self.stats.nodes += 1;
-                if self.stats.nodes > self.max_nodes {
-                    self.exhausted = true;
-                    return 0;
-                }
-                let mut sub_scope = comp_scope;
-                sub_scope.remove(&v);
-                let mut total: u128 = 0;
-                for lit in [Lit::pos(v), Lit::neg(v)] {
-                    if let Some(r) = assign(&comp, lit) {
-                        total = total.saturating_add(self.count_residual(r, &sub_scope));
-                    }
-                }
-                total
-            }
-        };
-        self.cache.insert(comp, result);
-        result
-    }
-}
-
-/// Asserts a literal in the residual: drops satisfied clauses, removes the
-/// falsified literal from others. Returns `None` on an empty clause.
-fn assign(residual: &Residual, lit: Lit) -> Option<Residual> {
-    let mut clauses = Vec::with_capacity(residual.clauses.len());
-    for c in &residual.clauses {
-        if c.contains(&lit) {
-            continue;
-        }
-        let filtered: Vec<Lit> = c.iter().copied().filter(|&l| l != !lit).collect();
-        if filtered.is_empty() {
-            return None;
-        }
-        clauses.push(filtered);
-    }
-    Some(Residual { clauses })
-}
-
-/// Exhaustive unit propagation; returns the propagated residual and the set
-/// of variables that were fixed, or `None` on conflict.
-fn propagate(mut residual: Residual) -> Option<(Residual, HashSet<u32>)> {
-    let mut fixed = HashSet::new();
-    loop {
-        let unit = residual.clauses.iter().find(|c| c.len() == 1).map(|c| c[0]);
-        match unit {
-            None => return Some((residual, fixed)),
-            Some(l) => {
-                fixed.insert(l.var().0);
-                residual = assign(&residual, l)?;
-            }
-        }
-    }
-}
-
-/// Splits the residual into connected components of the variable-interaction
-/// graph.
-fn split_components(residual: &Residual) -> Vec<Residual> {
-    let mut parent: HashMap<u32, u32> = HashMap::new();
-
-    fn find(parent: &mut HashMap<u32, u32>, v: u32) -> u32 {
-        let p = *parent.entry(v).or_insert(v);
-        if p == v {
-            v
-        } else {
-            let root = find(parent, p);
-            parent.insert(v, root);
-            root
-        }
-    }
-
-    for c in &residual.clauses {
-        let first = c[0].var().0;
-        for l in &c[1..] {
-            let (a, b) = (find(&mut parent, first), find(&mut parent, l.var().0));
-            if a != b {
-                parent.insert(a, b);
-            }
-        }
-        find(&mut parent, first);
-    }
-
-    let mut groups: HashMap<u32, Vec<Vec<Lit>>> = HashMap::new();
-    for c in &residual.clauses {
-        let root = find(&mut parent, c[0].var().0);
-        groups.entry(root).or_default().push(c.clone());
-    }
-    let mut comps: Vec<Residual> = groups
-        .into_values()
-        .map(|mut clauses| {
-            clauses.sort();
-            Residual { clauses }
-        })
-        .collect();
-    comps.sort_by_key(|c| c.clauses.len());
-    comps
-}
-
-fn is_satisfiable(comp: &Residual) -> bool {
-    // Build a compact CNF over just the variables of this component.
-    let max_var = comp
-        .clauses
-        .iter()
-        .flatten()
-        .map(|l| l.var().index())
-        .max()
-        .unwrap_or(0);
-    let mut cnf = Cnf::new(max_var + 1);
-    for c in &comp.clauses {
-        cnf.add_clause(c.clone());
-    }
-    Solver::from_cnf(&cnf).solve().is_sat()
-}
-
-/// Counts models of `cnf` projected onto its effective projection set.
-///
-/// Convenience free function equivalent to [`ExactCounter::count`].
-pub fn count_projected_exact(counter: &ExactCounter, cnf: &Cnf) -> Option<u128> {
-    counter.count(cnf)
 }
 
 #[cfg(test)]
@@ -504,8 +224,8 @@ mod tests {
         let mut cnf = Cnf::new(4);
         cnf.add_clause(vec![Lit::pos(0), Lit::pos(1)]);
         cnf.add_clause(vec![Lit::pos(2), Lit::pos(3)]);
-        let (c, stats) = ExactCounter::new().count_with_stats(&cnf).unwrap();
+        let (c, stats) = ExactCounter::new().try_count(&cnf).unwrap();
         assert_eq!(c, 9);
-        assert!(stats.nodes > 0);
+        assert!(stats.decisions > 0);
     }
 }

@@ -5,7 +5,8 @@
 //! Stand-ins for the two counters the paper uses:
 //!
 //! * [`exact`] — an exact projected counter (the role ProjMC plays in the
-//!   paper): DPLL-style counting over the projection variables with
+//!   paper): a count of the d-DNNF circuit that [`satkit::ddnnf::Compiler`]
+//!   records while it searches the projection variables with
 //!   connected-component decomposition and component caching;
 //! * [`approx`] — an (ε, δ) approximate counter (the role ApproxMC plays):
 //!   random XOR parity constraints over the projection set plus bounded

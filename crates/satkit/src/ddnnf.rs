@@ -8,8 +8,9 @@
 //! counter (the ProjMC/D4 lineage) pays it **once**, producing a circuit on
 //! which each subsequent count is linear in the circuit size.
 //!
-//! The [`Compiler`] here is a trace-recording variant of the classic
-//! projected #SAT search (the same skeleton as `modelcount::exact`):
+//! The [`Compiler`] here is the classic projected #SAT search, recording
+//! its trace. It is the workspace's only exact search: `modelcount::exact`
+//! counts a freshly compiled circuit and drops it. The search:
 //!
 //! 1. unit propagation — fixed *projection* literals become [`Lit`] leaves;
 //!    fixed auxiliary (non-projection) literals are existentially forgotten;
@@ -1046,10 +1047,9 @@ impl Compiler {
         }
     }
 
-    /// A compiler that aborts after `max_decisions` branching decisions —
-    /// the compile-time analogue of [`modelcount`]'s node budget.
-    ///
-    /// [`modelcount`]: https://docs.rs/modelcount
+    /// A compiler that aborts after `max_decisions` branching decisions,
+    /// failing with [`CompileError::BudgetExhausted`] (the analogue of a
+    /// counting time-out).
     pub fn with_decision_budget(max_decisions: u64) -> Self {
         Compiler {
             max_decisions,

@@ -100,43 +100,6 @@ fn warmed_cache_replays_an_evaluation_across_a_process_boundary() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The compiled engine's conditioned region counts are memoized under
-/// cube-aware fingerprints and round-trip the same way — an ensemble
-/// evaluation replays entirely from the reloaded cache.
-#[test]
-fn compiled_engine_region_counts_round_trip() {
-    let property = Property::Reflexive;
-    let scope = 3;
-    let dataset = labeled_dataset(property, scope).subsample(80, 5);
-    let forest = RandomForest::fit(
-        &dataset,
-        ForestConfig {
-            num_trees: 3,
-            seed: 11,
-            ..ForestConfig::default()
-        },
-    );
-    let gt = translate_to_cnf(&property.spec(), TranslateOptions::new(scope));
-
-    let path = temp_path("exact-compiled-engine");
-    let warm = CachedCounter::new(CounterBackend::exact());
-    let first = AccMc::with_engine(&warm, CountingEngine::Compiled)
-        .evaluate(&gt, &forest)
-        .expect("scopes match")
-        .expect("no budget");
-    save_outcomes(&path, "exact", &warm.snapshot()).expect("save cache");
-
-    let cold = CachedCounter::new(CounterBackend::exact_with_budget(0));
-    cold.preload(load_outcomes(&path, "exact").expect("load cache"));
-    let second = AccMc::with_engine(&cold, CountingEngine::Compiled)
-        .evaluate(&gt, &forest)
-        .expect("scopes match")
-        .expect("every conditioned count preloaded");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(second.counts, first.counts);
-    assert_eq!(cold.stats().misses, 0);
-}
-
 /// Circuit artifacts round-trip for **every** model family at scopes 2 and
 /// 3: `count_cubes` over a serialized-then-reloaded circuit must equal the
 /// fresh-compiled result, region for region, on both the φ and ¬φ sides.

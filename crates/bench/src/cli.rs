@@ -58,8 +58,8 @@ use relspec::properties::Property;
 use std::path::PathBuf;
 
 /// The largest `--scope`: scope 11 has 121 primary variables, the last
-/// space whose counts fit a `u128` and the exact counters' 128-variable
-/// projection limit.
+/// space within the exact counters' 127-variable projection limit
+/// ([`satkit::ddnnf::MAX_PROJECTION_VARS`]).
 pub const MAX_SCOPE: usize = 11;
 
 /// Usage summary printed (with the offending error) when argument parsing

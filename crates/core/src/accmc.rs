@@ -10,28 +10,31 @@
 //!
 //! from which accuracy, precision, recall and F1 are derived exactly as for
 //! dataset-based evaluation — except the "dataset" is now all 2^(n²)
-//! adjacency matrices (optionally restricted by symmetry-breaking
-//! predicates baked into φ).
+//! adjacency matrices (optionally restricted by the symmetry-breaking
+//! predicates SB baked into φ).
 //!
-//! The analysis is generic on both axes: any
-//! [`CnfEncodable`] model family (decision
-//! trees, random forests, boosted stumps) and any
-//! [`QueryCounter`] backend. Two evaluation
-//! strategies are selectable through [`CountingEngine`]:
+//! The analysis is generic on both axes: any [`CnfEncodable`] model family
+//! and any [`QueryCounter`] backend. Two evaluation strategies are
+//! selectable through [`CountingEngine`]:
 //!
 //! * [`Classic`](CountingEngine::Classic) — encode the model's decision
 //!   region into (¬)φ and run four fresh counts, exactly as above;
 //! * [`Compiled`](CountingEngine::Compiled) — a *query plan* over the
 //!   model's [`decision_regions`](CnfEncodable::decision_regions): never
-//!   encode the model at all, and instead sum `mc(φ | region-cube)` over
-//!   the regions. Against a
-//!   [`CompiledCounter`](crate::counter::CompiledCounter) backend, φ and
-//!   ¬φ are compiled to d-DNNF once per (property, scope) and every model
-//!   of a batch costs only linear circuit traversals — the φ search is no
-//!   longer repeated per model. All four families ride this plan: trees
-//!   list their root-to-leaf paths, and the ensembles (RFT/GBDT/ABT)
-//!   compile their vote circuits into region cube lists through
-//!   [`satkit::bdd`], guarded by a configurable
+//!   encode the model, and sum per-region counts instead. φ and ¬φ split
+//!   the space SB ([`GroundTruth::cnf_space`]), so the plan counts only φ
+//!   and SB and derives `mc(¬φ | c) = mc(SB | c) − mc(φ | c)` for each
+//!   region cube `c`. Against a
+//!   [`CompiledCounter`](crate::counter::CompiledCounter) backend, φ and SB
+//!   compile to d-DNNF once per (property, scope) — SB is small, and with
+//!   symmetry breaking off it is one trivial circuit per scope — and every
+//!   model of a batch costs two linear sweeps. ¬φ, the costly circuit, is
+//!   never compiled. The subtraction is taken only where both counts are
+//!   exact: a region whose count was rescued as an (ε, δ) estimate counts
+//!   ¬φ directly, because a difference of estimates keeps no (1 + ε)
+//!   guarantee. Trees list their root-to-leaf paths; ensembles and
+//!   quantized models compile their vote circuits into region cube lists
+//!   through [`satkit::bdd`], guarded by a configurable
 //!   [vote-node budget](AccMc::vote_node_bound).
 
 use crate::backend::CounterBackend;
@@ -42,7 +45,7 @@ use crate::fallback::{rescue_batch, FallbackLadder, FallbackPolicy};
 use crate::tree2cnf::TreeLabel;
 use mlkit::metrics::BinaryMetrics;
 use relspec::translate::GroundTruth;
-use satkit::cnf::Lit;
+use satkit::cnf::{Cnf, Lit};
 use std::time::{Duration, Instant};
 
 /// Which counting strategy an analysis uses.
@@ -52,9 +55,10 @@ pub enum CountingEngine {
     /// each of the four conjunctions from scratch.
     #[default]
     Classic,
-    /// Compile once, query many: condition a compiled φ / ¬φ on the
-    /// model's decision-region cubes and sum the per-region counts.
-    /// Covers every [`CnfEncodable`] family (trees and voting ensembles).
+    /// Compile once, query many: condition compiled φ and space circuits
+    /// on the model's decision-region cubes, derive ¬φ per region by
+    /// subtraction, and sum the per-region counts. Covers every
+    /// [`CnfEncodable`] family (trees and voting ensembles).
     Compiled,
 }
 
@@ -280,7 +284,7 @@ impl<'a, C: QueryCounter + ?Sized> AccMc<'a, C> {
         let counts = match self.engine {
             CountingEngine::Compiled => {
                 let regions = model.decision_regions_bounded(self.vote_node_bound)?;
-                self.counts_by_regions(ground_truth, &regions, ladder.as_ref(), &mut meta)
+                self.counts_by_regions(ground_truth, &regions, ladder.as_ref(), &mut meta)?
             }
             CountingEngine::Classic => {
                 self.counts_classic(ground_truth, model, ladder.as_ref(), &mut meta)?
@@ -338,44 +342,80 @@ impl<'a, C: QueryCounter + ?Sized> AccMc<'a, C> {
         }))
     }
 
-    /// The query plan: φ and ¬φ are fixed queries, the model contributes
-    /// only condition cubes. The model's regions partition the space, so
-    /// summing `mc(φ | cube)` over the positive regions equals
+    /// The query plan: φ and the space SB are fixed queries, the model
+    /// contributes only condition cubes. The model's regions partition the
+    /// space, so summing `mc(φ | cube)` over the positive regions equals
     /// `mc(φ ∧ model_true)` (and analogously for the other three cells) —
     /// asserted by the engine-agreement regression tests.
     ///
     /// All regions of the model are evaluated **batched**: one
     /// [`count_cubes`](QueryCounter::count_cubes) call against φ and one
-    /// against ¬φ, which a compiled backend answers with a single
-    /// topological sweep per side instead of one circuit walk per region.
+    /// against SB, which a compiled backend answers with a single
+    /// topological sweep each. Each region's ¬φ count is `SB − φ` when both
+    /// counts are exact. The remaining regions — φ rescued or approximate,
+    /// or SB not exact — count ¬φ directly in one more batch, rescued
+    /// exactly as before, so their (ε, δ) labels are unchanged.
     fn counts_by_regions(
         &self,
         ground_truth: &GroundTruth,
         regions: &[crate::encode::DecisionRegion],
         ladder: Option<&FallbackLadder>,
         meta: &mut OutcomeMeta,
-    ) -> Option<SpaceCounts> {
+    ) -> Result<Option<SpaceCounts>, EvalError> {
         let positive = ground_truth.cnf_positive_ref();
-        let negative = ground_truth.cnf_negative_ref();
         let cubes: Vec<&[Lit]> = regions.iter().map(|r| r.cube.as_slice()).collect();
-        // Absorb the φ side before paying for the ¬φ batch: if a count
-        // already blew the budget here, the evaluation is void and the
-        // second batch would be wasted work. An enabled fallback ladder
-        // rescues exhausted (and batch-omitted) outcomes per region first,
-        // so under it nothing here short-circuits.
-        let phi_outcomes = self.backend.count_cubes(positive, &cubes);
-        crate::counter::debug_assert_batch_complete(&phi_outcomes, cubes.len());
+        // Absorb the φ side before paying for any other batch: if a count
+        // already blew the budget here, the evaluation is void. An enabled
+        // fallback ladder rescues exhausted (and batch-omitted) outcomes
+        // per region first, so under it nothing here short-circuits.
+        let phi_outcomes = self.count_batch(positive, &cubes);
         let phi_outcomes = rescue_batch(ladder, positive, &cubes, phi_outcomes);
         let mut in_phi = Vec::with_capacity(regions.len());
-        for outcome in phi_outcomes {
-            in_phi.push(meta.absorb(outcome)?);
+        // Regions whose φ count is exact: only these may derive ¬φ.
+        let mut derivable = Vec::with_capacity(regions.len());
+        for (i, outcome) in phi_outcomes.into_iter().enumerate() {
+            if outcome.is_exact() {
+                derivable.push(i);
+            }
+            match meta.absorb(outcome) {
+                Some(v) => in_phi.push(v),
+                None => return Ok(None),
+            }
         }
-        let in_not_phi = self.backend.count_cubes(negative, &cubes);
-        crate::counter::debug_assert_batch_complete(&in_not_phi, cubes.len());
-        let in_not_phi = rescue_batch(ladder, negative, &cubes, in_not_phi);
+
+        let mut in_not_phi: Vec<Option<u128>> = vec![None; regions.len()];
+        let space_cubes = select(&cubes, &derivable);
+        let space_outcomes = self.count_batch(ground_truth.cnf_space(), &space_cubes);
+        for (&i, outcome) in derivable.iter().zip(space_outcomes) {
+            if let CountOutcome::Exact(space) = outcome {
+                let phi = in_phi[i];
+                let derived = space
+                    .checked_sub(phi)
+                    .ok_or(EvalError::CountUnderflow { space, phi })?;
+                in_not_phi[i] = Some(derived);
+            }
+        }
+
+        let direct: Vec<usize> = (0..regions.len())
+            .filter(|&i| in_not_phi[i].is_none())
+            .collect();
+        if !direct.is_empty() {
+            let negative = ground_truth.cnf_negative_ref();
+            let direct_cubes = select(&cubes, &direct);
+            let outcomes = self.count_batch(negative, &direct_cubes);
+            let outcomes = rescue_batch(ladder, negative, &direct_cubes, outcomes);
+            for (&i, outcome) in direct.iter().zip(outcomes) {
+                match meta.absorb(outcome) {
+                    Some(v) => in_not_phi[i] = Some(v),
+                    None => return Ok(None),
+                }
+            }
+        }
+
         let mut counts = SpaceCounts::default();
-        for (region, (in_phi, not_phi)) in regions.iter().zip(in_phi.into_iter().zip(in_not_phi)) {
-            let in_not_phi = meta.absorb(not_phi)?;
+        for (region, (in_phi, in_not_phi)) in regions.iter().zip(in_phi.into_iter().zip(in_not_phi))
+        {
+            let in_not_phi = in_not_phi.expect("every region's ¬φ count is derived or counted");
             match region.label {
                 TreeLabel::True => {
                     counts.tp += in_phi;
@@ -387,8 +427,20 @@ impl<'a, C: QueryCounter + ?Sized> AccMc<'a, C> {
                 }
             }
         }
-        Some(counts)
+        Ok(Some(counts))
     }
+
+    /// One batched count of `cnf` over `cubes`.
+    fn count_batch(&self, cnf: &Cnf, cubes: &[&[Lit]]) -> Vec<CountOutcome> {
+        let outcomes = self.backend.count_cubes(cnf, cubes);
+        crate::counter::debug_assert_batch_complete(&outcomes, cubes.len());
+        outcomes
+    }
+}
+
+/// The cubes at `indices`, in index order.
+fn select<'c>(cubes: &[&'c [Lit]], indices: &[usize]) -> Vec<&'c [Lit]> {
+    indices.iter().map(|&i| cubes[i]).collect()
 }
 
 #[cfg(test)]
@@ -600,9 +652,9 @@ mod tests {
             );
             assert!(compiled.is_exact());
             assert_eq!(compiled.approx, None);
-            // Exactly two formulas (φ and ¬φ) were compiled, regardless of
-            // how many regions the tree has.
-            assert_eq!(compiled_backend.stats().misses, 2, "property {property}");
+            // Exactly φ and the space were compiled, regardless of how many
+            // regions the tree has; ¬φ never was.
+            assert_compiled_phi_and_space_only(&compiled_backend, &gt);
         }
     }
 
@@ -628,10 +680,168 @@ mod tests {
             .expect("no budget");
         let brute = brute_counts(property, scope, SymmetryBreaking::None, &forest);
         assert_eq!(result.counts, brute);
-        assert_eq!(
-            backend.stats().misses,
-            2,
-            "the ensemble rides the region plan: only φ and ¬φ are compiled"
+        // The ensemble rides the region plan: only φ and the space compile.
+        assert_compiled_phi_and_space_only(&backend, &gt);
+    }
+
+    /// Pins the compiled plan's circuits: φ and the space, never ¬φ.
+    fn assert_compiled_phi_and_space_only(
+        counter: &crate::counter::CompiledCounter,
+        gt: &GroundTruth,
+    ) {
+        use crate::counter::cnf_fingerprint;
+        let mut compiled: Vec<u128> = counter
+            .snapshot_circuits()
+            .into_iter()
+            .map(|(key, _)| key)
+            .collect();
+        compiled.sort_unstable();
+        let mut expected = vec![
+            cnf_fingerprint(gt.cnf_positive_ref()),
+            cnf_fingerprint(gt.cnf_space()),
+        ];
+        expected.sort_unstable();
+        assert_eq!(compiled, expected, "φ and the space compiled, ¬φ not");
+        assert_eq!(counter.stats().misses, 2);
+    }
+
+    /// A compiled counter that gives up on φ from region `fail_from` on (or
+    /// inflates every φ count by `inflate`), and logs the cubes queried
+    /// against ¬φ.
+    struct Rigged {
+        inner: crate::counter::CompiledCounter,
+        phi: u128,
+        not_phi: u128,
+        fail_from: usize,
+        inflate: u128,
+        not_phi_cubes: std::sync::Mutex<Vec<Vec<Lit>>>,
+    }
+
+    impl Rigged {
+        fn new(gt: &GroundTruth, fail_from: usize, inflate: u128) -> Self {
+            use crate::counter::cnf_fingerprint;
+            Rigged {
+                inner: crate::counter::CompiledCounter::new(),
+                phi: cnf_fingerprint(gt.cnf_positive_ref()),
+                not_phi: cnf_fingerprint(gt.cnf_negative_ref()),
+                fail_from,
+                inflate,
+                not_phi_cubes: std::sync::Mutex::new(Vec::new()),
+            }
+        }
+    }
+
+    impl crate::counter::ModelCounter for Rigged {
+        fn name(&self) -> &str {
+            "rigged"
+        }
+
+        fn count(&self, cnf: &Cnf) -> CountOutcome {
+            self.inner.count(cnf)
+        }
+    }
+
+    impl QueryCounter for Rigged {
+        fn count_cubes(&self, cnf: &Cnf, cubes: &[&[Lit]]) -> Vec<CountOutcome> {
+            let key = crate::counter::cnf_fingerprint(cnf);
+            if key == self.not_phi {
+                let mut log = self.not_phi_cubes.lock().unwrap();
+                log.extend(cubes.iter().map(|cube| cube.to_vec()));
+            }
+            let mut outcomes = self.inner.count_cubes(cnf, cubes);
+            if key == self.phi {
+                for outcome in &mut outcomes {
+                    if let CountOutcome::Exact(v) = outcome {
+                        *v += self.inflate;
+                    }
+                }
+                if outcomes.len() > self.fail_from {
+                    outcomes.truncate(self.fail_from);
+                    outcomes.push(CountOutcome::BudgetExhausted { nodes_used: 1 });
+                }
+            }
+            outcomes
+        }
+    }
+
+    #[test]
+    fn rescued_regions_count_not_phi_directly_with_unchanged_labels() {
+        let scope = 3;
+        let property = Property::Transitive;
+        let dataset = labeled_dataset(property, scope).subsample(100, 5);
+        let tree = DecisionTree::fit(&dataset, TreeConfig::default());
+        let gt = translate_to_cnf(&property.spec(), TranslateOptions::new(scope));
+        let regions = tree.decision_regions().expect("trees expose regions");
+        assert!(regions.len() >= 4, "{} regions", regions.len());
+        let cubes: Vec<&[Lit]> = regions.iter().map(|r| r.cube.as_slice()).collect();
+        let fail_from = regions.len() / 2;
+
+        let rigged = Rigged::new(&gt, fail_from, 0);
+        let result = AccMc::with_engine(&rigged, CountingEngine::Compiled)
+            .fallback(FallbackPolicy::approx())
+            .evaluate(&gt, &tree)
+            .expect("scopes match")
+            .expect("the ladder always lands");
+        // Only the rescued regions counted ¬φ, and directly.
+        let queried = rigged.not_phi_cubes.lock().unwrap().clone();
+        let rescued: Vec<Vec<Lit>> = cubes[fail_from..].iter().map(|c| c.to_vec()).collect();
+        assert_eq!(queried, rescued);
+
+        // The plan before subtraction: φ and ¬φ counted directly over every
+        // region, both rescued, absorbed φ side first.
+        let reference = Rigged::new(&gt, fail_from, 0);
+        let ladder = FallbackLadder::new(
+            FallbackPolicy::approx(),
+            Some(scope),
+            SymmetryBreaking::None,
+        );
+        let mut meta = OutcomeMeta::default();
+        let mut counts = SpaceCounts::default();
+        let mut sides = Vec::new();
+        for cnf in [gt.cnf_positive_ref(), gt.cnf_negative_ref()] {
+            let outcomes = reference.count_cubes(cnf, &cubes);
+            let outcomes = rescue_batch(ladder.as_ref(), cnf, &cubes, outcomes);
+            let values: Vec<u128> = outcomes
+                .into_iter()
+                .map(|o| meta.absorb(o).expect("rescued"))
+                .collect();
+            sides.push(values);
+        }
+        for (i, region) in regions.iter().enumerate() {
+            match region.label {
+                TreeLabel::True => {
+                    counts.tp += sides[0][i];
+                    counts.fp += sides[1][i];
+                }
+                TreeLabel::False => {
+                    counts.fn_ += sides[0][i];
+                    counts.tn += sides[1][i];
+                }
+            }
+        }
+        assert_eq!(result.counts, counts);
+        let label = result.approx.expect("φ was rescued on some regions");
+        assert_eq!(Some(label), meta.approx());
+        let policy_delta = match FallbackPolicy::approx() {
+            FallbackPolicy::SymmetryThenApprox { delta, .. } => delta,
+            FallbackPolicy::Fail => unreachable!(),
+        };
+        let rescued_counts = (regions.len() - fail_from) as f64;
+        assert!((label.delta - (rescued_counts * policy_delta).min(1.0)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_phi_count_past_its_space_is_an_error_not_a_wrapped_count() {
+        let scope = 3;
+        let property = Property::Function;
+        let dataset = labeled_dataset(property, scope).subsample(60, 3);
+        let tree = DecisionTree::fit(&dataset, TreeConfig::default());
+        let gt = translate_to_cnf(&property.spec(), TranslateOptions::new(scope));
+        let rigged = Rigged::new(&gt, usize::MAX, 1 << 20);
+        let result = AccMc::with_engine(&rigged, CountingEngine::Compiled).evaluate(&gt, &tree);
+        assert!(
+            matches!(result, Err(EvalError::CountUnderflow { .. })),
+            "unexpected result {result:?}"
         );
     }
 

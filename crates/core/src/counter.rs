@@ -50,7 +50,7 @@ pub enum CountOutcome {
         delta: f64,
     },
     /// The counter gave up before producing a value: the paper's time-outs,
-    /// or a projection set past the exact counters' 128-variable limit.
+    /// or a projection set past the exact counters' 127-variable limit.
     BudgetExhausted {
         /// Branching decisions made before the counter gave up (0 when
         /// the projection set was refused up front).
@@ -176,7 +176,7 @@ pub(crate) fn debug_assert_batch_complete(outcomes: &[CountOutcome], cubes: usiz
 }
 
 /// The outcome of a search that gave up. Both causes carry no value; a
-/// projection set past the 128-variable limit is refused before the first
+/// projection set of 128 or more variables is refused before the first
 /// decision, so it is never reported as a saturated count.
 fn search_failure(error: CompileError) -> CountOutcome {
     let nodes_used = match error {
@@ -273,8 +273,12 @@ pub struct CompileCacheStats {
 /// plain or cube-conditioned via [`QueryCounter::count_conditioned`] — is a
 /// linear circuit traversal. This is the engine behind
 /// [`CountingEngine::Compiled`](crate::accmc::CountingEngine): AccMC
-/// compiles φ and ¬φ once per (property, scope) and then evaluates every
-/// model of the batch with per-region cube queries.
+/// compiles φ and the symmetry-broken space
+/// ([`GroundTruth::cnf_space`](relspec::translate::GroundTruth::cnf_space))
+/// once per (property, scope), evaluates every model of the batch with
+/// per-region cube queries against both, and derives each region's ¬φ
+/// count by subtraction. ¬φ is compiled only on request — for a circuit
+/// artifact, or for regions whose counts had to be rescued.
 ///
 /// Cloning is cheap and **shares** the circuit cache (it lives behind an
 /// [`Arc`]), so one counter can serve all threads of a
@@ -291,8 +295,8 @@ pub struct CompileCacheStats {
 /// `shared_lookups`); [`advance_shared_generation`](Self::advance_shared_generation)
 /// bounds the component store to its live working set at batch boundaries.
 ///
-/// A formula whose projection set exceeds the circuit representation's
-/// 128-variable limit (beyond every scope of the study) is reported as
+/// A formula projecting onto 128 or more variables (beyond every scope of
+/// the study), whose count might not fit a `u128`, is reported as
 /// [`CountOutcome::BudgetExhausted`], like every other failed compile.
 #[derive(Debug, Clone)]
 pub struct CompiledCounter {
@@ -884,21 +888,33 @@ mod tests {
 
     #[test]
     fn projections_past_128_variables_never_count_as_exact() {
-        // 129 free projection variables: 2^129 models, which no u128 holds.
-        let wide = Cnf::new(129);
-        let outcomes = [
-            ModelCounter::count(&ExactCounter::new(), &wide),
-            ExactCounter::new().count_transient(&wide),
-            CompiledCounter::new().count(&wide),
-            CompiledCounter::new().count_transient(&wide),
-            CompiledCounter::new().count_conditioned(&wide, &[Lit::pos(0)]),
-        ];
-        for outcome in outcomes {
-            assert_eq!(outcome, CountOutcome::BudgetExhausted { nodes_used: 0 });
+        // 128 and 129 free projection variables: 2^128 and 2^129 models,
+        // which no u128 holds.
+        for width in [128, 129] {
+            let wide = Cnf::new(width);
+            let outcomes = [
+                ModelCounter::count(&ExactCounter::new(), &wide),
+                ExactCounter::new().count_transient(&wide),
+                CompiledCounter::new().count(&wide),
+                CompiledCounter::new().count_transient(&wide),
+                CompiledCounter::new().count_conditioned(&wide, &[Lit::pos(0)]),
+            ];
+            for outcome in outcomes {
+                assert_eq!(
+                    outcome,
+                    CountOutcome::BudgetExhausted { nodes_used: 0 },
+                    "{width} variables"
+                );
+            }
+            let cube = [Lit::pos(0)];
+            let batch = CompiledCounter::new().count_cubes(&wide, &[&cube[..], &cube[..]]);
+            assert_eq!(batch, vec![CountOutcome::BudgetExhausted { nodes_used: 0 }]);
         }
-        let cube = [Lit::pos(0)];
-        let batch = CompiledCounter::new().count_cubes(&wide, &[&cube[..], &cube[..]]);
-        assert_eq!(batch, vec![CountOutcome::BudgetExhausted { nodes_used: 0 }]);
+        // 127 variables is the widest exact count: 2^127.
+        assert_eq!(
+            CompiledCounter::new().count(&Cnf::new(127)),
+            CountOutcome::Exact(1 << 127)
+        );
     }
 
     /// A chain CNF that exhausts any zero/low decision budget.

@@ -40,6 +40,16 @@ pub enum EvalError {
         /// The configured node bound.
         bound: usize,
     },
+    /// An exact φ count exceeded the exact count of the space φ lives in,
+    /// so ¬φ cannot be derived by subtraction. Only a counter or ground
+    /// truth that disagrees with itself produces this; it is reported
+    /// instead of a wrapped or zeroed count.
+    CountUnderflow {
+        /// Exact count of the space (the symmetry-breaking predicates).
+        space: u128,
+        /// Exact count of φ under the same cube.
+        phi: u128,
+    },
 }
 
 impl fmt::Display for EvalError {
@@ -62,6 +72,11 @@ impl fmt::Display for EvalError {
                 "ensemble vote circuit exceeded its budget ({nodes} diagram \
                  nodes or region cubes materialized, bound {bound}); raise \
                  the vote-node budget or shrink the ensemble"
+            ),
+            EvalError::CountUnderflow { space, phi } => write!(
+                f,
+                "inconsistent counts: φ has {phi} models in a region whose \
+                 space has only {space}"
             ),
         }
     }

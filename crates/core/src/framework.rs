@@ -557,15 +557,16 @@ impl Runner {
 
     /// Sets the [`CountingEngine`] used for the whole-space evaluation of
     /// every row. With [`CountingEngine::Compiled`] and a backend that
-    /// compiles (a [`CompiledCounter`],
-    /// possibly wrapped in a
-    /// [`CachedCounter`](crate::counter::CachedCounter)), the φ / ¬φ
-    /// circuits are shared across all rows of the batch exactly like cached
-    /// counts — compiled once per (property, scope, symmetry). Each model
-    /// then issues **one batched query per φ side**
+    /// compiles (a [`CompiledCounter`], possibly wrapped in a
+    /// [`CachedCounter`](crate::counter::CachedCounter)), the φ circuit and
+    /// the circuit of the symmetry-broken space
+    /// ([`GroundTruth::cnf_space`]) are shared across all rows of the batch
+    /// — compiled once per (property, scope, symmetry). Each model then
+    /// issues **one batched query per circuit**
     /// ([`QueryCounter::count_cubes`] with its whole decision-region
-    /// list): a single topological sweep of the circuit, not one walk per
-    /// region.
+    /// list): a single topological sweep, not one walk per region. ¬φ is
+    /// derived per region as space − φ, so the batch never compiles the ¬φ
+    /// circuit unless a rescued region needs a direct ¬φ count.
     pub fn engine(mut self, engine: CountingEngine) -> Self {
         self.engine = engine;
         self
@@ -1040,7 +1041,8 @@ impl Runner {
     /// Re-trains the batch's models and packages everything a warm start
     /// needs into a [`CircuitArtifact`]: each model's decision-region
     /// cover, the φ / ¬φ circuit fingerprints they are counted against,
-    /// and a snapshot of `counter`'s circuit cache with those circuits
+    /// and a snapshot of `counter`'s circuit cache with those circuits —
+    /// and the space circuit the batch plan derives ¬φ from —
     /// force-compiled. Training goes through the same
     /// `train_model` path as [`run`](Self::run) —
     /// deterministic hyper-parameters and seeds — so the covers reproduce
@@ -1072,10 +1074,11 @@ impl Runner {
                     .decision_regions_bounded(self.vote_node_bound)?;
                 let phi_cnf = ground_truth.cnf_positive_ref();
                 let not_phi_cnf = ground_truth.cnf_negative_ref();
-                // Force both circuits into the cache; a budget-exhausted
+                // Force the circuits into the cache; a budget-exhausted
                 // compilation simply stays out of the snapshot.
                 let _ = ModelCounter::count(counter, phi_cnf);
                 let _ = ModelCounter::count(counter, not_phi_cnf);
+                let _ = ModelCounter::count(counter, ground_truth.cnf_space());
                 Ok(RegionCover {
                     property: config.property.name().to_string(),
                     scope: config.scope,
@@ -1422,6 +1425,53 @@ mod tests {
                 a.config.property
             );
         }
+    }
+
+    #[test]
+    fn compiled_runs_never_compile_not_phi_but_artifacts_still_do() {
+        use crate::counter::CompiledCounter;
+        let configs = vec![
+            ExperimentConfig::table5(Property::Function, 3),
+            ExperimentConfig::table3(Property::Antisymmetric, 3),
+        ];
+        let runner = Runner::new()
+            .families(&[ModelFamily::Dt, ModelFamily::Rft])
+            .rft_trees(5)
+            .engine(CountingEngine::Compiled);
+        let compiled_keys = |counter: &CompiledCounter| -> Vec<u128> {
+            counter
+                .snapshot_circuits()
+                .into_iter()
+                .map(|(k, _)| k)
+                .collect()
+        };
+        let counter = CompiledCounter::new();
+        runner.run(&configs, &counter).expect("well-formed configs");
+        let after_run = compiled_keys(&counter);
+        let artifact = CompiledCounter::new();
+        runner
+            .build_artifact(&configs, &artifact)
+            .expect("well-formed configs");
+        let after_build = compiled_keys(&artifact);
+        for config in &configs {
+            let gt = config.translate_ground_truth();
+            let (phi, not_phi, space) = (
+                cnf_fingerprint(gt.cnf_positive_ref()),
+                cnf_fingerprint(gt.cnf_negative_ref()),
+                cnf_fingerprint(gt.cnf_space()),
+            );
+            let property = config.property;
+            assert!(after_run.contains(&phi), "{property}: φ compiled");
+            assert!(after_run.contains(&space), "{property}: space compiled");
+            assert!(
+                !after_run.contains(&not_phi),
+                "{property}: ¬φ never compiled"
+            );
+            for key in [phi, not_phi, space] {
+                assert!(after_build.contains(&key), "{property}: artifact circuit");
+            }
+        }
+        assert_eq!(after_run.len(), 4, "φ and space for each of two properties");
     }
 
     #[test]

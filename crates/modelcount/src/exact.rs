@@ -12,9 +12,9 @@
 //! caller that queries one formula many times keeps it instead, through
 //! `mcml::counter::CompiledCounter`.
 //!
-//! Counts are exact `u128` values. Projection sets are limited to 128
-//! variables (the reproduction's scopes go up to 11 atoms = 121
-//! variables); a larger set fails with
+//! Counts are exact `u128` values. Projection sets are limited to 127
+//! variables ([`satkit::ddnnf::MAX_PROJECTION_VARS`]; the reproduction's
+//! scopes go up to 11 atoms = 121 variables); a larger set fails with
 //! [`CompileError::TooManyProjectionVars`] rather than a saturated count.
 
 use satkit::cnf::Cnf;

@@ -60,6 +60,7 @@ pub struct GroundTruth {
     symmetry: SymmetryBreaking,
     positive: Cnf,
     negative: Cnf,
+    space: Cnf,
 }
 
 impl GroundTruth {
@@ -109,6 +110,17 @@ impl GroundTruth {
     /// Borrowed view of [`Self::cnf_negative`].
     pub fn cnf_negative_ref(&self) -> &Cnf {
         &self.negative
+    }
+
+    /// CNF of the space the property is evaluated over: the
+    /// symmetry-breaking predicates SB alone over the `scope²` primary
+    /// variables, with no clauses when symmetry breaking is off.
+    ///
+    /// φ and ¬φ split this space, and every Tseitin auxiliary is fixed by
+    /// the primary variables, so for any cube `c` of primary literals the
+    /// projected counts satisfy `mc(¬φ | c) = mc(SB | c) − mc(φ | c)`.
+    pub fn cnf_space(&self) -> &Cnf {
+        &self.space
     }
 }
 
@@ -434,16 +446,22 @@ fn at_most_one(entries: &[Rc<BoolExpr>]) -> Rc<BoolExpr> {
 /// Symmetry-breaking predicates selected in `options` are asserted; the
 /// property itself is only defined and can be asserted positively or
 /// negatively through [`GroundTruth::cnf_positive`] /
-/// [`GroundTruth::cnf_negative`].
+/// [`GroundTruth::cnf_negative`]. The predicates alone make up
+/// [`GroundTruth::cnf_space`].
 pub fn translate_to_cnf(formula: &Formula, options: TranslateOptions) -> GroundTruth {
     let n = options.scope;
     let num_primary = n * n;
     let prop_expr = translate_formula(formula, n);
+    let sb_expr = options
+        .symmetry
+        .is_enabled()
+        .then(|| symmetry_breaking_expr(n, options.symmetry));
     let mut enc = TseitinEncoder::new(num_primary);
     let property_root = enc.encode(&prop_expr);
-    if options.symmetry.is_enabled() {
-        let sb_expr = symmetry_breaking_expr(n, options.symmetry);
-        enc.assert(&sb_expr);
+    let mut space_enc = TseitinEncoder::new(num_primary);
+    if let Some(sb_expr) = &sb_expr {
+        enc.assert(sb_expr);
+        space_enc.assert(sb_expr);
     }
     let cnf = enc.into_cnf();
     let mut positive = cnf.clone();
@@ -457,6 +475,7 @@ pub fn translate_to_cnf(formula: &Formula, options: TranslateOptions) -> GroundT
         symmetry: options.symmetry,
         positive,
         negative,
+        space: space_enc.into_cnf(),
     }
 }
 
@@ -557,6 +576,46 @@ mod tests {
         );
         let kept = enumerate_projected(&gt_sb.cnf_positive(), &[], &EnumerateConfig::default());
         assert_eq!(kept.len(), 104);
+    }
+
+    #[test]
+    fn space_cnf_counts_the_symmetry_broken_space_under_any_cube() {
+        use satkit::ddnnf::Compiler;
+        let n = 3;
+        // Duplicate literals count once; a contradictory cube counts 0.
+        let cubes: Vec<Vec<Lit>> = vec![
+            vec![],
+            vec![Lit::pos(0)],
+            vec![Lit::pos(0), Lit::pos(0)],
+            vec![Lit::neg(1), Lit::pos(5), Lit::neg(1)],
+            vec![Lit::pos(4), Lit::neg(4)],
+            vec![Lit::neg(2), Lit::pos(3), Lit::neg(7), Lit::pos(8)],
+        ];
+        for sb in [
+            SymmetryBreaking::None,
+            SymmetryBreaking::Transpositions,
+            SymmetryBreaking::Full,
+        ] {
+            let gt = translate_to_cnf(&reflexive(), TranslateOptions::new(n).with_symmetry(sb));
+            let space = gt.cnf_space();
+            assert_eq!(space.num_clauses() == 0, !sb.is_enabled(), "{sb:?}");
+            assert_eq!(space.projection().len(), n * n);
+            let circuit = Compiler::new().compile(space).expect("no budget");
+            let counts = circuit.count_cubes(&cubes);
+            for (cube, count) in cubes.iter().zip(counts) {
+                let expected = (0u64..1 << (n * n))
+                    .map(|bits| {
+                        RelInstance::from_bits(n, (0..n * n).map(|k| bits >> k & 1 == 1).collect())
+                    })
+                    .filter(|inst| sb.keeps(inst))
+                    .filter(|inst| {
+                        cube.iter()
+                            .all(|l| inst.bits()[l.var().index()] == l.is_positive())
+                    })
+                    .count() as u128;
+                assert_eq!(count, expected, "{sb:?}, cube {cube:?}");
+            }
+        }
     }
 
     #[test]

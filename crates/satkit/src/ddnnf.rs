@@ -64,9 +64,10 @@
 //!
 //! Circuits are hash-consed DAGs: structurally identical subtraces (which
 //! the search cache detects) share one node. Projection sets are limited to
-//! 128 variables — enough for every scope of the reproduction (scope 11 has
-//! 121 primary variables) — so per-node variable sets are single `u128`
-//! bitmasks and gap ("smoothing") factors are popcounts.
+//! [`MAX_PROJECTION_VARS`] = 127 variables — enough for every scope of the
+//! reproduction (scope 11 has 121 primary variables) — so per-node variable
+//! sets are single `u128` bitmasks, gap ("smoothing") factors are
+//! popcounts, and every count, at most 2^127, fits a `u128` exactly.
 
 use crate::cnf::{Cnf, Lit, Var};
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -75,6 +76,11 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// The largest projection set a circuit may have. Per-node variable sets
+/// are `u128` bitmasks, which would hold 128 variables, but 128 free
+/// variables have 2^128 models and no `u128` holds that count.
+pub const MAX_PROJECTION_VARS: usize = 127;
 
 /// Index of a node inside a [`Ddnnf`] circuit.
 pub type NodeId = usize;
@@ -115,8 +121,8 @@ pub enum CompileError {
         /// Branching decisions recorded before giving up.
         decisions: u64,
     },
-    /// The formula projects onto more than 128 variables, exceeding the
-    /// `u128` bitmask representation of per-node variable sets.
+    /// The formula projects onto more than [`MAX_PROJECTION_VARS`]
+    /// variables, so its count might not fit a `u128`.
     TooManyProjectionVars {
         /// Size of the effective projection set.
         found: usize,
@@ -135,7 +141,8 @@ impl std::fmt::Display for CompileError {
             CompileError::TooManyProjectionVars { found } => {
                 write!(
                     f,
-                    "projection set of {found} variables exceeds the 128-variable limit"
+                    "projection set of {found} variables exceeds the \
+                     {MAX_PROJECTION_VARS}-variable limit"
                 )
             }
         }
@@ -208,7 +215,7 @@ pub struct Ddnnf {
     stats: CompileStats,
 }
 
-/// Saturating `2^exp` (projection sets may have up to 128 variables).
+/// Saturating `2^exp`.
 fn pow2(exp: u32) -> u128 {
     if exp >= 128 {
         u128::MAX
@@ -452,11 +459,7 @@ impl Ddnnf {
     }
 
     fn full_mask(&self) -> u128 {
-        if self.proj_vars.len() == 128 {
-            u128::MAX
-        } else {
-            (1u128 << self.proj_vars.len()) - 1
-        }
+        (1u128 << self.proj_vars.len()) - 1
     }
 
     /// Validates the cube and returns `(fixed, values)` bitmasks, or `None`
@@ -746,8 +749,7 @@ impl Ddnnf {
 
     /// Reconstructs a circuit from a [`to_bytes`](Self::to_bytes) image,
     /// revalidating every structural invariant the counting sweeps rely on:
-    /// the projection set is sorted and within the 128-variable bitmask
-    /// limit, every child id points *below* its parent (so the node list is
+    /// the projection set is sorted and within [`MAX_PROJECTION_VARS`], every child id points *below* its parent (so the node list is
     /// acyclic and topologically ordered), and every literal or decision
     /// variable belongs to the projection set. Masks, the evaluation
     /// schedule and the variable-bit map are recomputed from the validated
@@ -759,9 +761,10 @@ impl Ddnnf {
             return Err(DecodeError("bad magic".to_string()));
         }
         let proj_len = r.u32()? as usize;
-        if proj_len > 128 {
+        if proj_len > MAX_PROJECTION_VARS {
             return Err(DecodeError(format!(
-                "projection set of {proj_len} variables exceeds the 128-variable limit"
+                "projection set of {proj_len} variables exceeds the \
+                 {MAX_PROJECTION_VARS}-variable limit"
             )));
         }
         let mut proj_vars = Vec::with_capacity(proj_len);
@@ -1071,7 +1074,7 @@ impl Compiler {
     /// the formula's effective projection set.
     pub fn compile(&self, cnf: &Cnf) -> Result<Ddnnf, CompileError> {
         let projection: Vec<u32> = cnf.effective_projection().iter().map(|v| v.0).collect();
-        if projection.len() > 128 {
+        if projection.len() > MAX_PROJECTION_VARS {
             return Err(CompileError::TooManyProjectionVars {
                 found: projection.len(),
             });

@@ -69,7 +69,9 @@ for acc in "$batch_acc_a" "$batch_acc_b"; do
 done
 
 # 2. Serve both artifact directories on an ephemeral port; wait for the
-# address line.
+# address line. The output file exists before the server starts, so the
+# poll never reads a file the backgrounded redirect has not created yet.
+: >"$tmp/serve.out"
 target/release/mcml-serve serve \
   --artifact-dir "$tmp/artifacts-a" --artifact-dir "$tmp/artifacts-b" \
   --artifact-dir "$tmp/artifacts-c" --fallback approx \

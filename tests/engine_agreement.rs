@@ -6,7 +6,7 @@
 
 use mcml::accmc::{AccMc, CountingEngine};
 use mcml::backend::CounterBackend;
-use mcml::counter::{CompiledCounter, CountOutcome, ModelCounter, QueryCounter};
+use mcml::counter::{cnf_fingerprint, CompiledCounter, CountOutcome, ModelCounter, QueryCounter};
 use mcml::encode::CnfEncodable;
 use mlkit::adaboost::{AdaBoost, AdaBoostConfig};
 use mlkit::data::Dataset;
@@ -20,7 +20,8 @@ use modelcount::exact::ExactCounter;
 use proptest::prelude::*;
 use relspec::instance::RelInstance;
 use relspec::properties::Property;
-use relspec::translate::{translate_to_cnf, TranslateOptions};
+use relspec::symmetry::SymmetryBreaking;
+use relspec::translate::{translate_to_cnf, GroundTruth, TranslateOptions};
 use satkit::cnf::{Cnf, Lit, Var};
 
 fn exact_count(cnf: &Cnf) -> u128 {
@@ -97,7 +98,6 @@ proptest! {
 /// whole-space tables.
 #[test]
 fn engines_agree_on_all_table_properties() {
-    use relspec::symmetry::SymmetryBreaking;
     for property in Property::all() {
         for scope in [2usize, 3] {
             for symmetry in [SymmetryBreaking::None, SymmetryBreaking::Transpositions] {
@@ -159,16 +159,29 @@ fn region_sums_equal_classic_four_counts() {
             1u128 << (scope * scope),
             "regions must partition the whole space (property {property})"
         );
-        let regions = tree
-            .decision_regions()
-            .expect("decision trees expose regions");
-        assert_eq!(
-            compiled_backend.stats().misses,
-            2,
-            "φ and ¬φ compiled once for {} regions (property {property})",
-            regions.len()
-        );
+        // φ and the space compiled once for all regions; ¬φ never.
+        assert_compiled_phi_and_space_only(&compiled_backend, &gt, &format!("{property}"));
     }
+}
+
+/// Pins the compiled plan's circuits: exactly φ and the space, never ¬φ.
+fn assert_compiled_phi_and_space_only(counter: &CompiledCounter, gt: &GroundTruth, what: &str) {
+    let mut compiled: Vec<u128> = counter
+        .snapshot_circuits()
+        .into_iter()
+        .map(|(key, _)| key)
+        .collect();
+    compiled.sort_unstable();
+    let mut expected = vec![
+        cnf_fingerprint(gt.cnf_positive_ref()),
+        cnf_fingerprint(gt.cnf_space()),
+    ];
+    expected.sort_unstable();
+    assert_eq!(
+        compiled, expected,
+        "φ and the space compiled, ¬φ not ({what})"
+    );
+    assert_eq!(counter.stats().misses, 2, "{what}");
 }
 
 /// Trains the compact ensemble trio the conformance tests use: a
@@ -210,8 +223,8 @@ fn fit_ensembles(train: &Dataset, seed: u64) -> (RandomForest, AdaBoost, Gradien
 /// gradient-boosting ensemble must produce bit-identical whole-space
 /// counts under the classic four-conjunction plan and the compiled
 /// region-sum plan — and the compiled plan must reach them without ever
-/// encoding the ensemble (only φ and ¬φ are compiled, shared by all three
-/// models).
+/// encoding the ensemble (only φ and the space are compiled, shared by all
+/// three models).
 #[test]
 fn ensemble_engines_agree_on_all_table_properties() {
     for property in Property::all() {
@@ -252,11 +265,12 @@ fn ensemble_engines_agree_on_all_table_properties() {
                      (property {property}, scope {scope})"
                 );
             }
-            assert_eq!(
-                compiled_backend.stats().misses,
-                2,
-                "φ and ¬φ compiled once, shared by all three ensembles \
-                 (property {property}, scope {scope})"
+            // φ and the space compiled once, shared by all three
+            // ensembles; ¬φ never.
+            assert_compiled_phi_and_space_only(
+                &compiled_backend,
+                &gt,
+                &format!("property {property}, scope {scope}"),
             );
         }
     }
@@ -361,7 +375,7 @@ fn fit_quantized(train: &Dataset, seed: u64) -> (QuantizedMlp, QuantizedSvm) {
 /// on every table property at scopes 2 and 3, the binarized MLP and the
 /// integer-weight SVM must produce bit-identical whole-space counts under
 /// the classic threshold-CNF plan and the compiled region-sum plan — with
-/// φ and ¬φ compiled once and shared by both models.
+/// φ and the space compiled once and shared by both models.
 #[test]
 fn quantized_engines_agree_on_all_table_properties() {
     for property in Property::all() {
@@ -402,11 +416,12 @@ fn quantized_engines_agree_on_all_table_properties() {
                      (property {property}, scope {scope})"
                 );
             }
-            assert_eq!(
-                compiled_backend.stats().misses,
-                2,
-                "φ and ¬φ compiled once, shared by both quantized models \
-                 (property {property}, scope {scope})"
+            // φ and the space compiled once, shared by both quantized
+            // models; ¬φ never.
+            assert_compiled_phi_and_space_only(
+                &compiled_backend,
+                &gt,
+                &format!("property {property}, scope {scope}"),
             );
         }
     }
@@ -497,4 +512,73 @@ fn compiled_engine_is_backend_agnostic() {
         .expect("scopes match")
         .expect("no budget");
     assert_eq!(via_search.counts, via_circuit.counts);
+}
+
+/// The batch plan derives each region's ¬φ count as `space − φ`. On every
+/// table property at scopes 2 and 3, with symmetry breaking off and on,
+/// and for tree, forest and quantized-MLP regions, that difference must
+/// equal the direct ¬φ count of the same region and a brute-force count
+/// over every adjacency matrix.
+#[test]
+fn derived_not_phi_equals_direct_not_phi_region_by_region() {
+    for property in Property::all() {
+        for scope in [2usize, 3] {
+            let full = labeled_dataset(property, scope);
+            let train = if scope == 3 {
+                full.subsample(80, 13)
+            } else {
+                full
+            };
+            let tree = DecisionTree::fit(&train, TreeConfig::default());
+            let (forest, _, _) = fit_ensembles(&train, 7);
+            let (mlp, _) = fit_quantized(&train, 7);
+            let models: [(&str, &dyn CnfEncodable); 3] =
+                [("DT", &tree), ("RFT", &forest), ("MLP", &mlp)];
+            for symmetry in [SymmetryBreaking::None, SymmetryBreaking::Transpositions] {
+                let gt = translate_to_cnf(
+                    &property.spec(),
+                    TranslateOptions::new(scope).with_symmetry(symmetry),
+                );
+                let counter = CompiledCounter::new();
+                let instances: Vec<RelInstance> = (0u64..1 << (scope * scope))
+                    .map(|bits| {
+                        RelInstance::from_bits(
+                            scope,
+                            (0..scope * scope).map(|k| bits >> k & 1 == 1).collect(),
+                        )
+                    })
+                    .filter(|inst| symmetry.keeps(inst) && !property.holds(inst))
+                    .collect();
+                for (name, model) in models {
+                    let regions = model.decision_regions().expect("within the default bound");
+                    let cubes: Vec<&[Lit]> = regions.iter().map(|r| r.cube.as_slice()).collect();
+                    let exact = |cnf: &Cnf| -> Vec<u128> {
+                        counter
+                            .count_cubes(cnf, &cubes)
+                            .into_iter()
+                            .map(|outcome| outcome.value().expect("no budget"))
+                            .collect()
+                    };
+                    let phi = exact(gt.cnf_positive_ref());
+                    let space = exact(gt.cnf_space());
+                    let direct = exact(gt.cnf_negative_ref());
+                    for (i, cube) in cubes.iter().enumerate() {
+                        let what = format!(
+                            "{name}, property {property}, scope {scope}, {symmetry:?}, region {i}"
+                        );
+                        let derived = space[i].checked_sub(phi[i]).expect(&what);
+                        let brute = instances
+                            .iter()
+                            .filter(|inst| {
+                                cube.iter()
+                                    .all(|l| inst.bits()[l.var().index()] == l.is_positive())
+                            })
+                            .count() as u128;
+                        assert_eq!(derived, direct[i], "{what}");
+                        assert_eq!(derived, brute, "{what}");
+                    }
+                }
+            }
+        }
+    }
 }

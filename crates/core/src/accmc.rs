@@ -706,14 +706,15 @@ mod tests {
     }
 
     /// A compiled counter that gives up on φ from region `fail_from` on (or
-    /// inflates every φ count by `inflate`), and logs the cubes queried
-    /// against ¬φ.
+    /// inflates every φ count by `inflate`), optionally gives up on every
+    /// ¬φ count, and logs the cubes queried against ¬φ.
     struct Rigged {
         inner: crate::counter::CompiledCounter,
         phi: u128,
         not_phi: u128,
         fail_from: usize,
         inflate: u128,
+        exhaust_not_phi: bool,
         not_phi_cubes: std::sync::Mutex<Vec<Vec<Lit>>>,
     }
 
@@ -726,7 +727,15 @@ mod tests {
                 not_phi: cnf_fingerprint(gt.cnf_negative_ref()),
                 fail_from,
                 inflate,
+                exhaust_not_phi: false,
                 not_phi_cubes: std::sync::Mutex::new(Vec::new()),
+            }
+        }
+
+        fn exhausting_not_phi(self) -> Self {
+            Rigged {
+                exhaust_not_phi: true,
+                ..self
             }
         }
     }
@@ -747,6 +756,9 @@ mod tests {
             if key == self.not_phi {
                 let mut log = self.not_phi_cubes.lock().unwrap();
                 log.extend(cubes.iter().map(|cube| cube.to_vec()));
+                if self.exhaust_not_phi {
+                    return vec![CountOutcome::BudgetExhausted { nodes_used: 1 }; cubes.len()];
+                }
             }
             let mut outcomes = self.inner.count_cubes(cnf, cubes);
             if key == self.phi {
@@ -828,6 +840,29 @@ mod tests {
         };
         let rescued_counts = (regions.len() - fail_from) as f64;
         assert!((label.delta - (rescued_counts * policy_delta).min(1.0)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn an_exact_phi_count_never_queries_not_phi() {
+        // ¬φ's circuit is the costly one: a budget that φ fits in but ¬φ
+        // would blow still yields exact, unlabelled counts, because ¬φ is
+        // derived and never queried.
+        let scope = 3;
+        let property = Property::Transitive;
+        let dataset = labeled_dataset(property, scope).subsample(100, 5);
+        let tree = DecisionTree::fit(&dataset, TreeConfig::default());
+        let gt = translate_to_cnf(&property.spec(), TranslateOptions::new(scope));
+        let rigged = Rigged::new(&gt, usize::MAX, 0).exhausting_not_phi();
+        let result = AccMc::with_engine(&rigged, CountingEngine::Compiled)
+            .fallback(FallbackPolicy::approx())
+            .evaluate(&gt, &tree)
+            .expect("scopes match")
+            .expect("φ and the space count exactly");
+        assert!(rigged.not_phi_cubes.lock().unwrap().is_empty());
+        assert!(result.is_exact());
+        assert_eq!(result.approx, None);
+        let brute = brute_counts(property, scope, SymmetryBreaking::None, &tree);
+        assert_eq!(result.counts, brute);
     }
 
     #[test]

@@ -1041,8 +1041,7 @@ impl Runner {
     /// Re-trains the batch's models and packages everything a warm start
     /// needs into a [`CircuitArtifact`]: each model's decision-region
     /// cover, the φ / ¬φ circuit fingerprints they are counted against,
-    /// and a snapshot of `counter`'s circuit cache with those circuits —
-    /// and the space circuit the batch plan derives ¬φ from —
+    /// and a snapshot of `counter`'s circuit cache with those circuits
     /// force-compiled. Training goes through the same
     /// `train_model` path as [`run`](Self::run) —
     /// deterministic hyper-parameters and seeds — so the covers reproduce
@@ -1074,11 +1073,10 @@ impl Runner {
                     .decision_regions_bounded(self.vote_node_bound)?;
                 let phi_cnf = ground_truth.cnf_positive_ref();
                 let not_phi_cnf = ground_truth.cnf_negative_ref();
-                // Force the circuits into the cache; a budget-exhausted
+                // Force both circuits into the cache; a budget-exhausted
                 // compilation simply stays out of the snapshot.
                 let _ = ModelCounter::count(counter, phi_cnf);
                 let _ = ModelCounter::count(counter, not_phi_cnf);
-                let _ = ModelCounter::count(counter, ground_truth.cnf_space());
                 Ok(RegionCover {
                     property: config.property.name().to_string(),
                     scope: config.scope,
@@ -1467,7 +1465,7 @@ mod tests {
                 !after_run.contains(&not_phi),
                 "{property}: ¬φ never compiled"
             );
-            for key in [phi, not_phi, space] {
+            for key in [phi, not_phi] {
                 assert!(after_build.contains(&key), "{property}: artifact circuit");
             }
         }

@@ -175,11 +175,7 @@ fn preloaded_artifact_serves_accuracy_with_zero_compilation_decisions() {
 
     let cold = CompiledCounter::with_decision_budget(0);
     cold.preload_circuits(loaded.circuits);
-    assert_eq!(
-        cold.preloaded_len(),
-        3,
-        "φ, ¬φ and the space circuit preloaded"
-    );
+    assert_eq!(cold.preloaded_len(), 2, "φ and ¬φ circuits preloaded");
     let cold_rows = runner
         .run(&configs, &CounterBackend::Compiled(cold.clone()))
         .expect("well-formed batch");

@@ -4,10 +4,12 @@
 //! AccMC engines on a multi-model batch (the Table 3/5 access pattern).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
+use datagen::builder::{DatasetBuilder, DatasetConfig};
 use mcml::accmc::{AccMc, CountingEngine};
 use mcml::backend::CounterBackend;
 use mcml::counter::CompiledCounter;
 use mcml::encode::CnfEncodable;
+use mcml::framework::ExperimentConfig;
 use mlkit::adaboost::{AdaBoost, AdaBoostConfig};
 use mlkit::data::Dataset;
 use mlkit::forest::{ForestConfig, RandomForest};
@@ -367,6 +369,45 @@ fn bench_accmc_mlp_svm_batch(c: &mut Criterion) {
     group.finish();
 }
 
+/// The 15-tree random forests `table5` fits at scope 4 (experiment seed
+/// 0) for the properties whose vote fold hits the default node budget:
+/// their region extraction is the fold's two-rung pressure response
+/// (restart from sifted voters, then in-flight sifting) plus the cover.
+fn bench_regions_rft_pressure(c: &mut Criterion) {
+    let mut group = c.benchmark_group("regions_rft_pressure");
+    group.sample_size(10);
+    for property in [
+        Property::Antisymmetric,
+        Property::Functional,
+        Property::PartialOrder,
+        Property::Transitive,
+    ] {
+        let config = ExperimentConfig::table5(property, 4);
+        let dataset = DatasetBuilder::new().build(DatasetConfig {
+            property,
+            scope: config.scope,
+            symmetry: config.data_symmetry,
+            max_positive: config.max_positive,
+            seed: config.seed,
+        });
+        let (train, _) = dataset.split(config.ratio);
+        let forest = RandomForest::fit(
+            &train,
+            ForestConfig {
+                num_trees: 15,
+                seed: config.seed,
+                ..ForestConfig::default()
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new(property.name(), config.scope),
+            &forest,
+            |b, forest| b.iter(|| black_box(forest.decision_regions().unwrap().len())),
+        );
+    }
+    group.finish();
+}
+
 fn fast_config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -384,6 +425,7 @@ criterion_group!(
     bench_accmc_ensemble_batch,
     bench_accmc_gbdt_batch,
     bench_accmc_mlp_svm_batch,
+    bench_regions_rft_pressure,
     bench_symmetry_breaking_translation
 );
 

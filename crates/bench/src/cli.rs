@@ -233,8 +233,9 @@ impl HarnessArgs {
                 }
                 "--engine" => {
                     let v = value(&mut iter, "--engine", "a name")?;
-                    out.engine = CountingEngine::parse(&v)
-                        .ok_or_else(|| format!("unknown engine {v:?} (expected classic or compiled)"))?;
+                    out.engine = CountingEngine::parse(&v).ok_or_else(|| {
+                        format!("unknown engine {v:?} (expected classic or compiled)")
+                    })?;
                 }
                 "--vote-nodes" => {
                     let v = value(&mut iter, "--vote-nodes", "a value")?;
@@ -383,10 +384,7 @@ mod tests {
         let single = parse(&["--models", "RFT"]);
         assert_eq!(single.models, vec![ModelFamily::Rft]);
         let quantized = parse(&["--models", "mlp,svm"]);
-        assert_eq!(
-            quantized.models,
-            vec![ModelFamily::Mlp, ModelFamily::Svm]
-        );
+        assert_eq!(quantized.models, vec![ModelFamily::Mlp, ModelFamily::Svm]);
     }
 
     #[test]

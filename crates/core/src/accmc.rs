@@ -168,15 +168,17 @@ impl AccMcResult {
 }
 
 /// Accumulates per-count outcome metadata — exactness, largest ε,
-/// union-bound δ — across the counts of one evaluation.
+/// union-bound δ — across the counts of one evaluation. `mcml-serve`
+/// labels its degraded replies with the same accumulator, so a served
+/// label and a batch label over the same counts agree bit for bit.
 #[derive(Debug, Default)]
-pub(crate) struct OutcomeMeta {
+pub struct OutcomeMeta {
     approx: Option<ApproxInfo>,
 }
 
 impl OutcomeMeta {
     /// Folds one outcome in, returning its value (`None` = budget ran out).
-    pub(crate) fn absorb(&mut self, outcome: CountOutcome) -> Option<u128> {
+    pub fn absorb(&mut self, outcome: CountOutcome) -> Option<u128> {
         match outcome {
             CountOutcome::Exact(v) => Some(v),
             CountOutcome::Approx {
@@ -198,7 +200,9 @@ impl OutcomeMeta {
         }
     }
 
-    pub(crate) fn approx(&self) -> Option<ApproxInfo> {
+    /// The combined label of the approximate counts folded in so far;
+    /// `None` while every count was exact.
+    pub fn approx(&self) -> Option<ApproxInfo> {
         self.approx
     }
 }

@@ -177,7 +177,7 @@ impl FallbackLadder {
     /// (ε, δ). Never returns `BudgetExhausted`.
     ///
     /// The rung-3 anchor always runs, at the tightened tolerance
-    /// [`verification_epsilon`] — it is the only rung with a PAC
+    /// `verification_epsilon(ε)` — it is the only rung with a PAC
     /// guarantee. The rung-2 orbit-scaled exact count, when available and
     /// inside the anchor's band, replaces the anchor as the reported
     /// estimate (it is typically far closer to the truth than a hash

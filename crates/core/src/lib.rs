@@ -88,7 +88,7 @@ pub mod persist;
 pub mod report;
 pub mod tree2cnf;
 
-pub use accmc::{AccMc, AccMcResult, ApproxInfo, CountingEngine, SpaceCounts};
+pub use accmc::{AccMc, AccMcResult, ApproxInfo, CountingEngine, OutcomeMeta, SpaceCounts};
 pub use artifact::{CircuitArtifact, RegionCover};
 pub use backend::CounterBackend;
 pub use counter::{CachedCounter, CompiledCounter, CountOutcome, ModelCounter, QueryCounter};

@@ -12,7 +12,7 @@
 //!   kind of threshold over the inputs, materialized as an indicator
 //!   literal (CNF) or a feature-space diagram (regions); the output
 //!   layer is a staged additive fold over the ±1 unit activations —
-//!   [`AdditiveVoteCompiler`] for CNF, [`Bdd::staged_vote_fold`] for
+//!   `AdditiveVoteCompiler` for CNF, [`Bdd::staged_vote_fold`] for
 //!   regions — with one two-alternative stage per non-constant unit
 //!   (fires: `+q2ⱼ`, otherwise: `−q2ⱼ`) and the final integer score
 //!   thresholded at `≥ 0`.
@@ -243,7 +243,8 @@ pub(crate) fn mlp_decision_regions(
     let plan = MlpFoldPlan::of(model);
     let mut stages = Vec::with_capacity(plan.units.len());
     for &j in &plan.units {
-        let guard = weighted_threshold_bdd(&mut bdd, model.hidden_weights(j), -model.hidden_bias(j))?;
+        let guard =
+            weighted_threshold_bdd(&mut bdd, model.hidden_weights(j), -model.hidden_bias(j))?;
         stages.push(vec![guard]);
     }
     let root = bdd.staged_vote_fold(
@@ -378,7 +379,9 @@ mod tests {
     fn svm_encoding_matches_quantized_predictions() {
         for (seed, f) in [
             (0u64, (|x: &[u8]| x[0] == 1) as fn(&[u8]) -> bool),
-            (1, |x: &[u8]| x.iter().map(|&b| b as usize).sum::<usize>() >= 2),
+            (1, |x: &[u8]| {
+                x.iter().map(|&b| b as usize).sum::<usize>() >= 2
+            }),
             (2, |x: &[u8]| x[1] == 0 || x[3] == 1),
         ] {
             let d = dataset_from_fn(4, f);
@@ -393,7 +396,9 @@ mod tests {
         for (hidden, seed, f) in [
             (1usize, 0u64, (|x: &[u8]| x[0] == 1) as fn(&[u8]) -> bool),
             (3, 1, |x: &[u8]| (x[0] ^ x[2]) == 1 || x[3] == 1),
-            (4, 2, |x: &[u8]| x.iter().map(|&b| b as usize).sum::<usize>() >= 2),
+            (4, 2, |x: &[u8]| {
+                x.iter().map(|&b| b as usize).sum::<usize>() >= 2
+            }),
         ] {
             let d = dataset_from_fn(4, f);
             let mlp = fit_quantized_mlp(&d, hidden, seed);

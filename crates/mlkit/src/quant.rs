@@ -95,10 +95,10 @@ impl QuantizedMlp {
     /// into the quantized hidden bias, the constant halves into the
     /// output bias and the sign halves into the output weights — the
     /// model keeps the exact ±1 sign-activation semantics of
-    /// [`from_mlp`]; calibration only picks better integers. Units whose
-    /// activation is constant over the calibration set get weight 0 and
-    /// drop out of the score. Falls back to [`from_mlp`] on an empty
-    /// calibration set.
+    /// [`from_mlp`](Self::from_mlp); calibration only picks better
+    /// integers. Units whose activation is constant over the calibration
+    /// set get weight 0 and drop out of the score. Falls back to
+    /// [`from_mlp`](Self::from_mlp) on an empty calibration set.
     pub fn from_mlp_calibrated(mlp: &Mlp, bits: u32, features: &[Vec<u8>]) -> QuantizedMlp {
         if features.is_empty() {
             return QuantizedMlp::from_mlp(mlp, bits);
@@ -224,11 +224,7 @@ impl QuantizedSvm {
     /// Derives the quantized model from a trained float SVM.
     pub fn from_svm(svm: &LinearSvm, bits: u32) -> QuantizedSvm {
         QuantizedSvm {
-            weights: svm
-                .weights
-                .iter()
-                .map(|&w| fixed_point(w, bits))
-                .collect(),
+            weights: svm.weights.iter().map(|&w| fixed_point(w, bits)).collect(),
             bias: fixed_point(svm.bias, bits),
             bits,
         }
@@ -315,7 +311,11 @@ fn step_fit(z: &[f64]) -> (f64, f64, f64) {
         }
     }
     let k = best_k;
-    let lo = if k == 0 { 0.0 } else { (prefix[k] - prefix[0]) / k as f64 };
+    let lo = if k == 0 {
+        0.0
+    } else {
+        (prefix[k] - prefix[0]) / k as f64
+    };
     let hi = if k == n {
         0.0
     } else {
@@ -419,7 +419,10 @@ mod tests {
         let q = QuantizedSvm::from_svm(&svm, DEFAULT_QUANT_BITS);
         let report = agreement_report(&q, &svm, &d);
         assert_eq!(report.total, 32);
-        assert_eq!(report.matching, 32, "8 fractional bits must preserve a 1.0-margin separator");
+        assert_eq!(
+            report.matching, 32,
+            "8 fractional bits must preserve a 1.0-margin separator"
+        );
         assert_eq!(report.agreement(), 1.0);
     }
 

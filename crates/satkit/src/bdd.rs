@@ -26,7 +26,11 @@
 //!   with pairwise-distinct float weights can reach `2^rounds` nodes, so
 //!   [`Bdd::ite`] (and the other constructors) report
 //!   [`BddError::TooManyNodes`] instead of exhausting memory. The budget
-//!   counts *live* nodes: slots reclaimed by garbage collection are reused.
+//!   counts every stored node that has not been collected yet — the ITE
+//!   intermediates of a computation included, not only the nodes its
+//!   result reaches — and slots reclaimed by garbage collection are
+//!   reused. A fold whose final diagram holds a thousand nodes can
+//!   therefore still fill a budget of tens of thousands.
 //!   Cube extraction counts root-to-sink paths first and reports
 //!   [`BddError::TooManyCubes`] before materializing an oversized cover.
 //!
@@ -46,12 +50,22 @@
 //!   reachable-node count is smallest. Sifting garbage-collects first
 //!   (only nodes reachable from the caller's `roots` survive — any other
 //!   handle is dangling afterwards) and again at the end, so the budget
-//!   measures the live diagram.
+//!   measures the live diagram. For the duration of one sift the manager
+//!   keeps per-variable node lists and reference counts, so each swap
+//!   costs only the nodes of the two levels it exchanges and the
+//!   reachable-node count is tracked rather than recounted.
 //! * [`ReorderPolicy`] selects when reordering happens automatically:
 //!   [`Off`](ReorderPolicy::Off) (never — explicit [`Bdd::sift`] calls
 //!   remain available), or [`OnPressure`](ReorderPolicy::OnPressure) —
-//!   [`Bdd::vote_fold`] responds to a blown node budget by sifting and
-//!   retrying instead of failing, so wider ensembles fit smaller budgets.
+//!   [`Bdd::vote_fold`] responds to a blown node budget by reordering
+//!   instead of failing, so wider ensembles fit smaller budgets. The
+//!   response has two rungs. First the fold is abandoned, the voter
+//!   diagrams alone are sifted (collecting the memo and every
+//!   intermediate) and the fold reruns from its first stage under the new
+//!   order: the voters are a fraction of the memo, so this sift is cheap,
+//!   and the refold usually fits outright. Only if the refold blows the
+//!   budget too does the second rung sift in flight — voters, memoized
+//!   partial diagrams and intermediates — and retry the step.
 //!
 //! # Example
 //!
@@ -102,10 +116,13 @@ pub enum ReorderPolicy {
     /// behaviour).
     #[default]
     Off,
-    /// Reorder under budget pressure: when a [`vote_fold`](Bdd::vote_fold)
-    /// step exceeds the node budget, garbage-collect, sift, and retry the
-    /// step; the error only surfaces if the reordered diagram still does
-    /// not fit.
+    /// Reorder under budget pressure. When a [`vote_fold`](Bdd::vote_fold)
+    /// step first exceeds the node budget, the fold is abandoned, the voter
+    /// diagrams alone are [sifted](Bdd::sift) and the fold restarts from
+    /// its first stage. If the restarted fold exceeds the budget as well,
+    /// each further blown step sifts everything the fold holds and is
+    /// retried (a bounded number of times); the error only surfaces if the
+    /// reordered diagram still does not fit.
     OnPressure,
 }
 
@@ -163,11 +180,11 @@ pub struct BddCube {
     pub value: bool,
 }
 
-/// Cap on the automatic sift-and-retry attempts of one
-/// [`vote_fold`](Bdd::vote_fold) under [`ReorderPolicy::OnPressure`] — a
-/// fold whose diagram keeps outgrowing the budget after this many
-/// reorderings is genuinely too large, and each extra sift only delays the
-/// typed error.
+/// Cap on the in-flight sift-and-retry attempts of one
+/// [`vote_fold`](Bdd::vote_fold) under [`ReorderPolicy::OnPressure`], after
+/// its one restart from sifted voters — a fold whose diagram keeps
+/// outgrowing the budget after this many reorderings is genuinely too
+/// large, and each extra sift only delays the typed error.
 const MAX_FOLD_SIFTS: usize = 32;
 
 /// Immutable context of one [`staged_vote_fold`](Bdd::staged_vote_fold).
@@ -181,6 +198,81 @@ struct FoldCtx<'a, C, D> {
     cast: &'a C,
     decide: &'a D,
     bound: usize,
+    /// Whether a blown node budget is met by sifting in flight (the second
+    /// rung of the pressure response) rather than stopping the attempt.
+    sift_in_flight: bool,
+}
+
+/// Why one attempt of a [`staged_vote_fold`](Bdd::staged_vote_fold) stopped.
+enum FoldStop {
+    /// A fold ITE exceeded the node budget; a better order may fit it.
+    Nodes(BddError),
+    /// The abstract vote states outgrew their cap; no order merges them.
+    States(BddError),
+}
+
+impl FoldStop {
+    fn error(self) -> BddError {
+        match self {
+            FoldStop::Nodes(e) | FoldStop::States(e) => e,
+        }
+    }
+}
+
+/// The bookkeeping of one [`sift`](Bdd::sift): per-variable node lists and
+/// reference counts, so a swap visits only the two levels it exchanges and
+/// the reachable-node count is tracked instead of recounted.
+struct SiftIndex {
+    /// `by_var[v]` — arena slots of the interned nodes testing `v`,
+    /// referenced or not.
+    by_var: Vec<Vec<u32>>,
+    /// Per arena slot: edges from referenced parents plus occurrences in
+    /// the sift's roots. A node is referenced iff it is reachable.
+    refs: Vec<u32>,
+    /// Referenced nodes — always `reachable_count(roots)`.
+    live: usize,
+    /// Unreferenced nodes a swap dropped from the unique table (their
+    /// content no longer respects the order); freed with the rest.
+    unlinked: Vec<u32>,
+    /// Scratch stack of [`acquire`](Self::acquire) and
+    /// [`release`](Self::release).
+    stack: Vec<NodeRef>,
+}
+
+impl SiftIndex {
+    /// Adds one reference to `r`; a node gaining its first reference
+    /// references its children in turn.
+    fn acquire(&mut self, nodes: &[Node], r: NodeRef) {
+        self.stack.push(r);
+        while let Some(r) = self.stack.pop() {
+            if r == Bdd::FALSE || r == Bdd::TRUE {
+                continue;
+            }
+            let slot = r.0 as usize - 2;
+            self.refs[slot] += 1;
+            if self.refs[slot] == 1 {
+                self.live += 1;
+                self.stack.extend([nodes[slot].lo, nodes[slot].hi]);
+            }
+        }
+    }
+
+    /// Drops one reference to `r`; a node losing its last reference
+    /// releases its children in turn.
+    fn release(&mut self, nodes: &[Node], r: NodeRef) {
+        self.stack.push(r);
+        while let Some(r) = self.stack.pop() {
+            if r == Bdd::FALSE || r == Bdd::TRUE {
+                continue;
+            }
+            let slot = r.0 as usize - 2;
+            self.refs[slot] -= 1;
+            if self.refs[slot] == 0 {
+                self.live -= 1;
+                self.stack.extend([nodes[slot].lo, nodes[slot].hi]);
+            }
+        }
+    }
 }
 
 impl Node {
@@ -394,21 +486,6 @@ impl Bdd {
         Ok(self.alloc(node))
     }
 
-    /// [`mk`](Self::mk) without the budget check — used by the reordering
-    /// swaps, whose transient growth is governed by the sifting loop (and
-    /// undone by the garbage collection that brackets it) rather than by
-    /// the construction budget.
-    fn mk_unbounded(&mut self, var: u32, lo: NodeRef, hi: NodeRef) -> NodeRef {
-        if lo == hi {
-            return lo;
-        }
-        let node = Node { var, lo, hi };
-        if let Some(&r) = self.unique.get(&node) {
-            return r;
-        }
-        self.alloc(node)
-    }
-
     /// The level an operand branches at and its children, fetched in one
     /// arena read ([`SINK_LEVEL`](Self::SINK_LEVEL) and self-children for
     /// the sinks, which branch nowhere).
@@ -510,19 +587,57 @@ impl Bdd {
     }
 
     /// Exchanges the variables at `level` and `level + 1` **in place**,
-    /// preserving every live handle's function and the reduced/hash-consed
+    /// preserving every handle's function and the reduced/hash-consed
     /// invariants.
     ///
     /// Only nodes at `level` whose children test the variable below are
     /// rewritten (their content changes, their [`NodeRef`] does not); every
     /// other node is untouched. Nodes created by the rewrite bypass the
     /// construction budget — swap growth is transient and bounded by the
-    /// sifting loop that drives it.
+    /// sifting loop that drives it. A standalone swap indexes the whole
+    /// arena first, so it costs a pass over every node; inside
+    /// [`sift`](Bdd::sift) the index is built once and each swap costs only
+    /// the two levels it exchanges.
     ///
     /// # Panics
     ///
     /// Panics unless both `level` and `level + 1` are occupied levels.
     pub fn swap_adjacent_levels(&mut self, level: usize) {
+        // Every stored node counts as referenced, so the swap rewrites
+        // garbage too and never drops a node.
+        let every: Vec<NodeRef> = (0..self.nodes.len())
+            .filter(|&i| self.nodes[i] != Node::FREE)
+            .map(|i| NodeRef(i as u32 + 2))
+            .collect();
+        let mut ix = self.index(&every);
+        self.swap_indexed(level, &mut ix);
+    }
+
+    /// Builds the per-variable node lists and reference counts of
+    /// [`SiftIndex`] over the current arena, counting `roots` as references.
+    fn index(&self, roots: &[NodeRef]) -> SiftIndex {
+        let mut ix = SiftIndex {
+            by_var: vec![Vec::new(); self.var_at.len()],
+            refs: vec![0; self.nodes.len()],
+            live: 0,
+            unlinked: Vec::new(),
+            stack: Vec::new(),
+        };
+        for (i, n) in self.nodes.iter().enumerate() {
+            if *n != Node::FREE {
+                ix.by_var[n.var as usize].push(i as u32);
+            }
+        }
+        for &r in roots {
+            ix.acquire(&self.nodes, r);
+        }
+        ix
+    }
+
+    /// [`swap_adjacent_levels`](Bdd::swap_adjacent_levels) over an index:
+    /// visits only the nodes of the upper variable and keeps the reference
+    /// counts (and so [`SiftIndex::live`]) exact.
+    fn swap_indexed(&mut self, level: usize, ix: &mut SiftIndex) {
         assert!(
             level + 1 < self.var_at.len(),
             "swap needs two adjacent levels, got level {level} of {}",
@@ -531,41 +646,96 @@ impl Bdd {
         let x = self.var_at[level];
         let y = self.var_at[level + 1];
         // Nodes testing x above a y-child change structure; everything else
-        // just changes level, which is recorded only in the permutation.
-        let rewrite: Vec<usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.var == x && (self.var_of(n.lo) == y || self.var_of(n.hi) == y))
-            .map(|(i, _)| i)
-            .collect();
-        // Reorder the permutation first so `mk` places x below y.
+        // just changes level, which is recorded only in the permutation. An
+        // unreferenced one would break the order once x sinks below y, so it
+        // leaves the unique table instead and waits for the next collection.
+        let mut rewrite = Vec::new();
+        let xs = std::mem::take(&mut ix.by_var[x as usize]);
+        let mut kept = Vec::with_capacity(xs.len());
+        for s in xs {
+            let n = self.nodes[s as usize];
+            if self.var_of(n.lo) != y && self.var_of(n.hi) != y {
+                kept.push(s);
+                continue;
+            }
+            self.unique.remove(&n);
+            if ix.refs[s as usize] > 0 {
+                rewrite.push(s);
+            } else {
+                ix.unlinked.push(s);
+            }
+        }
+        ix.by_var[x as usize] = kept;
+        // Reorder the permutation first so new nodes place x below y.
         self.var_at.swap(level, level + 1);
         self.level_of.swap(x as usize, y as usize);
-        // Drop the stale unique-table entries before any `mk` can observe
-        // them; rewritten contents are re-interned below.
-        for &i in &rewrite {
-            self.unique.remove(&self.nodes[i]);
-        }
-        for &i in &rewrite {
-            let n = self.nodes[i];
+        for s in rewrite {
+            let n = self.nodes[s as usize];
             // f = x ? (y ? hi1 : hi0) : (y ? lo1 : lo0)
             //   = y ? (x ? hi1 : lo1) : (x ? hi0 : lo0)
             let (lo0, lo1) = self.cofactors(n.lo, y);
             let (hi0, hi1) = self.cofactors(n.hi, y);
-            let new_lo = self.mk_unbounded(x, lo0, hi0);
-            let new_hi = self.mk_unbounded(x, lo1, hi1);
+            let new_lo = self.mk_indexed(x, lo0, hi0, ix);
+            ix.acquire(&self.nodes, new_lo);
+            let new_hi = self.mk_indexed(x, lo1, hi1, ix);
+            ix.acquire(&self.nodes, new_hi);
             // With full reduction the rewritten content is provably fresh:
             // at least one child is an x-node (otherwise the original node
-            // was redundant), and no pre-existing node can have an x-child
-            // at this point in the order.
+            // was redundant), and no interned node can have an x-child at
+            // this point in the order.
             let rewritten = Node {
                 var: y,
                 lo: new_lo,
                 hi: new_hi,
             };
-            self.nodes[i] = rewritten;
-            self.unique.insert(rewritten, NodeRef(i as u32 + 2));
+            self.nodes[s as usize] = rewritten;
+            self.unique.insert(rewritten, NodeRef(s + 2));
+            ix.by_var[y as usize].push(s);
+            // Released after the new children hold their references, so a
+            // grandchild shared through them never drops to zero in passing.
+            ix.release(&self.nodes, n.lo);
+            ix.release(&self.nodes, n.hi);
+        }
+    }
+
+    /// Interns `(var, lo, hi)` for a swap: no construction budget, and a
+    /// fresh node joins the index unreferenced. An existing node is reused
+    /// even when unreferenced — that is how a swap brings back a node an
+    /// earlier swap of the same sift orphaned.
+    fn mk_indexed(&mut self, var: u32, lo: NodeRef, hi: NodeRef, ix: &mut SiftIndex) -> NodeRef {
+        if lo == hi {
+            return lo;
+        }
+        let node = Node { var, lo, hi };
+        if let Some(&r) = self.unique.get(&node) {
+            return r;
+        }
+        let r = self.alloc(node);
+        let slot = r.0 as usize - 2;
+        if slot >= ix.refs.len() {
+            ix.refs.resize(slot + 1, 0);
+        }
+        ix.by_var[var as usize].push(slot as u32);
+        r
+    }
+
+    /// Frees every node of the index without references, and those a swap
+    /// unlinked: their slots go onto the free list.
+    fn free_unreferenced(&mut self, ix: &mut SiftIndex) {
+        for list in &mut ix.by_var {
+            list.retain(|&s| {
+                if ix.refs[s as usize] > 0 {
+                    return true;
+                }
+                self.unique.remove(&self.nodes[s as usize]);
+                self.nodes[s as usize] = Node::FREE;
+                self.free.push(s);
+                false
+            });
+        }
+        for s in ix.unlinked.drain(..) {
+            self.nodes[s as usize] = Node::FREE;
+            self.free.push(s);
         }
     }
 
@@ -626,6 +796,14 @@ impl Bdd {
     /// position minimizing the reachable-node count. A sweep direction is
     /// abandoned early when the diagram doubles past the best size seen.
     ///
+    /// A swap costs only the nodes of the two levels it exchanges: for the
+    /// duration of the sift the manager keeps per-variable node lists and
+    /// reference counts (edges from referenced parents plus occurrences in
+    /// `roots`), so the reachable-node count is tracked as the swaps go
+    /// rather than recounted. A node whose count drops to zero stays
+    /// interned, so a later swap can bring it back; unreferenced nodes are
+    /// freed together before each variable is sifted and at the end.
+    ///
     /// Handles in `roots` remain valid and keep their functions; every
     /// other handle must be considered dangling (the collection reclaims
     /// it). Sifting never fails — if no better order exists the diagram is
@@ -636,39 +814,33 @@ impl Bdd {
         if levels < 2 {
             return;
         }
-        let mut population = vec![0usize; levels];
-        for n in &self.nodes {
-            if *n != Node::FREE {
-                population[n.var as usize] += 1;
-            }
-        }
+        let mut ix = self.index(roots);
         let mut vars: Vec<u32> = (0..levels as u32)
-            .filter(|&v| population[v as usize] > 0)
+            .filter(|&v| !ix.by_var[v as usize].is_empty())
             .collect();
-        vars.sort_by_key(|&v| std::cmp::Reverse(population[v as usize]));
+        vars.sort_by_key(|&v| std::cmp::Reverse(ix.by_var[v as usize].len()));
         for var in vars {
-            // Keep the arena lean: each variable's sweep creates transient
-            // nodes the next sweep should not have to walk around.
-            self.collect_garbage(roots);
-            self.sift_var(var, roots);
+            // Keep the levels lean: each variable's sweep orphans nodes the
+            // next sweep should not have to walk around.
+            self.free_unreferenced(&mut ix);
+            self.sift_var(var, roots, &mut ix);
         }
-        self.collect_garbage(roots);
+        self.free_unreferenced(&mut ix);
     }
 
     /// Sifts one variable: down to the bottom, up to the top, then back to
     /// the best level seen.
-    fn sift_var(&mut self, var: u32, roots: &[NodeRef]) {
+    fn sift_var(&mut self, var: u32, roots: &[NodeRef], ix: &mut SiftIndex) {
         let levels = self.var_at.len();
         let mut cur = self.level_of[var as usize] as usize;
         let mut best = cur;
-        let mut best_size = self.reachable_count(roots);
+        let mut best_size = ix.live;
         // Abandon a sweep direction once the diagram doubles past the best
         // size seen (Rudell's max-growth heuristic).
         let grow_limit = best_size.saturating_mul(2).max(16);
         while cur + 1 < levels {
-            self.swap_adjacent_levels(cur);
+            let size = self.sift_swap(cur, roots, ix);
             cur += 1;
-            let size = self.reachable_count(roots);
             if size < best_size {
                 best_size = size;
                 best = cur;
@@ -678,9 +850,8 @@ impl Bdd {
             }
         }
         while cur > 0 {
-            self.swap_adjacent_levels(cur - 1);
+            let size = self.sift_swap(cur - 1, roots, ix);
             cur -= 1;
-            let size = self.reachable_count(roots);
             if size < best_size {
                 best_size = size;
                 best = cur;
@@ -693,9 +864,23 @@ impl Bdd {
         // abandons, so the best level is always reachable by settling
         // downward.
         while cur < best {
-            self.swap_adjacent_levels(cur);
+            self.sift_swap(cur, roots, ix);
             cur += 1;
         }
+    }
+
+    /// One sifting swap; returns the reachable-node count after it. Test
+    /// builds check the tracked count against a full walk from `roots`.
+    fn sift_swap(&mut self, level: usize, roots: &[NodeRef], ix: &mut SiftIndex) -> usize {
+        self.swap_indexed(level, ix);
+        if cfg!(test) {
+            assert_eq!(
+                ix.live,
+                self.reachable_count(roots),
+                "tracked size drifted at level {level}"
+            );
+        }
+        ix.live
     }
 
     /// Compiles an ensemble vote `decide(state after every voter)` into the
@@ -711,7 +896,8 @@ impl Bdd {
     /// whose guard is the voter's region and whose "otherwise" branch is
     /// the vote not firing — and shares all of its machinery: the
     /// manager-owned memo table, the state-space cap, and the
-    /// [`ReorderPolicy::OnPressure`] sift-and-retry on budget pressure.
+    /// [`ReorderPolicy::OnPressure`] restart and sift-and-retry on budget
+    /// pressure.
     pub fn vote_fold(
         &mut self,
         voters: &[NodeRef],
@@ -760,10 +946,14 @@ impl Bdd {
     /// to a constant (the diagram stays tiny while the state space — e.g.
     /// pairwise-distinct float partial sums — still grows exponentially).
     ///
-    /// Under [`ReorderPolicy::OnPressure`], a fold step that blows the node
-    /// budget garbage-collects, [sifts](Bdd::sift) and retries before
-    /// reporting [`BddError::TooManyNodes`] — the state-space cap above is
-    /// never retried (reordering cannot merge distinct vote states).
+    /// Under [`ReorderPolicy::OnPressure`], the first fold step that blows
+    /// the node budget abandons the fold: the memo and every intermediate
+    /// are dropped, the guards alone are [sifted](Bdd::sift), and the fold
+    /// reruns from stage 0. A step of the rerun that blows the budget
+    /// sifts everything the fold still holds and retries, a bounded
+    /// number of times, before reporting
+    /// [`BddError::TooManyNodes`]. The state-space cap above is never
+    /// retried (reordering cannot merge distinct vote states).
     pub fn staged_vote_fold(
         &mut self,
         stages: &[Vec<NodeRef>],
@@ -784,18 +974,34 @@ impl Bdd {
             .unwrap_or(usize::MAX);
         memo.reserve(state_space.min(vote_node_bound).min(1 << 13));
         let guards: Vec<NodeRef> = stages.iter().flatten().copied().collect();
-        let ctx = FoldCtx {
+        let mut ctx = FoldCtx {
             stages,
             guards: &guards,
             cast,
             decide,
             bound: vote_node_bound,
+            sift_in_flight: false,
         };
         // Intermediate fold results alive across recursive calls; the
         // pressure sift must treat them as roots.
         let mut protect: Vec<NodeRef> = Vec::new();
         self.fold_sifts = 0;
-        let result = self.staged_fold_rec(&ctx, 0, initial, &mut memo, &mut protect);
+        let result = loop {
+            match self.staged_fold_rec(&ctx, 0, initial, &mut memo, &mut protect) {
+                Err(FoldStop::Nodes(_))
+                    if self.policy == ReorderPolicy::OnPressure && !ctx.sift_in_flight =>
+                {
+                    // First rung: abandon the attempt, sift the voters alone
+                    // (collecting the memo and every intermediate) and fold
+                    // again from stage 0 under the better order.
+                    memo.clear();
+                    protect.clear();
+                    self.sift(&guards);
+                    ctx.sift_in_flight = true;
+                }
+                other => break other.map_err(FoldStop::error),
+            }
+        };
         // Hand the allocation back to the manager even on failure.
         self.vote_memo = memo;
         result
@@ -808,7 +1014,7 @@ impl Bdd {
         state: u64,
         memo: &mut FxHashMap<(u32, u64), NodeRef>,
         protect: &mut Vec<NodeRef>,
-    ) -> Result<NodeRef, BddError> {
+    ) -> Result<NodeRef, FoldStop> {
         if stage == ctx.stages.len() {
             return Ok(self.constant((ctx.decide)(state)));
         }
@@ -816,10 +1022,10 @@ impl Bdd {
             return Ok(r);
         }
         if memo.len() >= ctx.bound {
-            return Err(BddError::TooManyNodes {
+            return Err(FoldStop::States(BddError::TooManyNodes {
                 nodes: memo.len() + 1,
                 bound: ctx.bound,
-            });
+            }));
         }
         let alts = &ctx.stages[stage];
         // Build the if-then-else chain from the otherwise-branch backwards:
@@ -837,42 +1043,43 @@ impl Bdd {
             let sub =
                 self.staged_fold_rec(ctx, stage + 1, (ctx.cast)(stage, j, state), memo, protect);
             protect.pop();
-            acc = self.pressure_ite(alts[j], sub?, acc, ctx.guards, memo, protect)?;
+            acc = self.pressure_ite(ctx, alts[j], sub?, acc, memo, protect)?;
         }
         memo.insert((stage as u32, state), acc);
         Ok(acc)
     }
 
-    /// [`ite`](Bdd::ite) with the fold's budget-pressure response: under
-    /// [`ReorderPolicy::OnPressure`], a blown node budget triggers one
+    /// [`ite`](Bdd::ite) with the fold's in-flight pressure response: once
+    /// an attempt has restarted from sifted voters
+    /// ([`FoldCtx::sift_in_flight`]), a blown node budget triggers one
     /// garbage-collecting [sift](Bdd::sift) over everything the fold still
     /// needs — the stage guards, every memoized partial diagram, the
-    /// in-flight intermediates, and this step's operands — and one retry.
-    fn pressure_ite(
+    /// in-flight intermediates, and this step's operands — and one retry,
+    /// at most [`MAX_FOLD_SIFTS`] times per fold.
+    fn pressure_ite<C, D>(
         &mut self,
+        ctx: &FoldCtx<'_, C, D>,
         f: NodeRef,
         g: NodeRef,
         h: NodeRef,
-        guards: &[NodeRef],
         memo: &FxHashMap<(u32, u64), NodeRef>,
         protect: &[NodeRef],
-    ) -> Result<NodeRef, BddError> {
+    ) -> Result<NodeRef, FoldStop> {
         match self.ite(f, g, h) {
-            Ok(r) => Ok(r),
             Err(BddError::TooManyNodes { .. })
-                if self.policy == ReorderPolicy::OnPressure && self.fold_sifts < MAX_FOLD_SIFTS =>
+                if ctx.sift_in_flight && self.fold_sifts < MAX_FOLD_SIFTS =>
             {
                 self.fold_sifts += 1;
                 let mut roots: Vec<NodeRef> =
-                    Vec::with_capacity(guards.len() + memo.len() + protect.len() + 3);
-                roots.extend_from_slice(guards);
+                    Vec::with_capacity(ctx.guards.len() + memo.len() + protect.len() + 3);
+                roots.extend_from_slice(ctx.guards);
                 roots.extend(memo.values().copied());
                 roots.extend_from_slice(protect);
                 roots.extend([f, g, h]);
                 self.sift(&roots);
-                self.ite(f, g, h)
+                self.ite(f, g, h).map_err(FoldStop::Nodes)
             }
-            Err(e) => Err(e),
+            other => other.map_err(FoldStop::Nodes),
         }
     }
 
@@ -1301,10 +1508,61 @@ mod tests {
         );
         let (bdd, root) = build(ReorderPolicy::OnPressure, bound).expect("sifting must fit");
         assert!(bdd.node_count() <= bound);
+        // Each voter is one pair (two nodes under any order), so sifting
+        // the voters alone cannot regroup the pairs: the restarted fold
+        // blows the budget again and the second rung sifts in flight.
+        assert_eq!(bdd.fold_sifts, 1, "the second rung must sift once");
         for bits in [0u32, 1, 65, 4095, 2080, 33] {
             let a: Vec<bool> = (0..2 * pairs).map(|k| bits >> k & 1 == 1).collect();
             let want = (0..pairs).any(|i| a[i as usize] && a[(i + pairs) as usize]);
             assert_eq!(bdd.eval(root, &a), want, "input bits {bits}");
+        }
+    }
+
+    #[test]
+    fn on_pressure_fold_restarts_from_sifted_voters() {
+        // Six interleaved pairs again, but each voter spans two cyclically
+        // adjacent pairs, so the voters alone are smaller with the pairs
+        // grouped. Sifting them before the restart groups the pairs, and
+        // the refold fits without any sift in flight.
+        let pairs = 6u32;
+        let bound = 96;
+        let build = |policy: ReorderPolicy| {
+            let mut bdd = Bdd::with_node_budget(bound).with_reorder_policy(policy);
+            let mut voters = Vec::new();
+            for i in 0..pairs {
+                let mut voter = bdd.constant(false);
+                for j in [i, (i + 1) % pairs] {
+                    let a = bdd.literal(j, true)?;
+                    let b = bdd.literal(j + pairs, true)?;
+                    let both = bdd.and(a, b)?;
+                    voter = bdd.or(voter, both)?;
+                }
+                voters.push(voter);
+            }
+            let root = bdd.vote_fold(
+                &voters,
+                0,
+                &|_, tally, fired| tally + u64::from(fired),
+                &|tally| tally >= 2,
+                bound,
+            )?;
+            Ok((bdd, root))
+        };
+        let err = build(ReorderPolicy::Off).map(|_| ()).unwrap_err();
+        assert!(
+            matches!(err, BddError::TooManyNodes { bound: 96, .. }),
+            "unexpected error {err:?}"
+        );
+        let (bdd, root) = build(ReorderPolicy::OnPressure).expect("the restart must fit");
+        assert_eq!(bdd.fold_sifts, 0, "the restarted fold must not sift again");
+        for bits in 0u32..(1 << (2 * pairs)) {
+            let a: Vec<bool> = (0..2 * pairs).map(|k| bits >> k & 1 == 1).collect();
+            let pair = |j: u32| a[j as usize] && a[(j + pairs) as usize];
+            let votes = (0..pairs)
+                .filter(|&i| pair(i) || pair((i + 1) % pairs))
+                .count();
+            assert_eq!(bdd.eval(root, &a), votes >= 2, "input bits {bits}");
         }
     }
 
@@ -1379,6 +1637,131 @@ mod tests {
             assert!(
                 matches!(err, BddError::TooManyNodes { bound: 64, .. }),
                 "unexpected error {err:?} under {policy:?}"
+            );
+        }
+    }
+
+    /// Today's sifting loop rebuilt from the public primitives alone: each
+    /// swap is a standalone [`Bdd::swap_adjacent_levels`] and each size a
+    /// full [`Bdd::reachable_count`] walk.
+    fn reference_sift(bdd: &mut Bdd, roots: &[NodeRef]) {
+        bdd.collect_garbage(roots);
+        let levels = bdd.variable_order().len();
+        let mut population = vec![0usize; levels];
+        for n in bdd.nodes.iter().filter(|&&n| n != Node::FREE) {
+            population[n.var as usize] += 1;
+        }
+        let mut vars: Vec<u32> = (0..levels as u32)
+            .filter(|&v| population[v as usize] > 0)
+            .collect();
+        vars.sort_by_key(|&v| std::cmp::Reverse(population[v as usize]));
+        let step = |bdd: &mut Bdd, level: usize| {
+            bdd.swap_adjacent_levels(level);
+            bdd.reachable_count(roots)
+        };
+        for var in vars {
+            bdd.collect_garbage(roots);
+            let mut cur = bdd.level_of[var as usize] as usize;
+            let mut best = cur;
+            let mut best_size = bdd.reachable_count(roots);
+            let grow_limit = best_size.saturating_mul(2).max(16);
+            while cur + 1 < levels {
+                let size = step(bdd, cur);
+                cur += 1;
+                if size < best_size {
+                    (best_size, best) = (size, cur);
+                }
+                if size > grow_limit {
+                    break;
+                }
+            }
+            while cur > 0 {
+                let size = step(bdd, cur - 1);
+                cur -= 1;
+                if size < best_size {
+                    (best_size, best) = (size, cur);
+                }
+                if size > grow_limit {
+                    break;
+                }
+            }
+            while cur < best {
+                step(bdd, cur);
+                cur += 1;
+            }
+        }
+        bdd.collect_garbage(roots);
+    }
+
+    /// A seeded random multi-root diagram over `vars` variables: each root
+    /// folds random two-literal terms into the previous root with a random
+    /// connective, so roots share structure and their sizes depend on the
+    /// order.
+    fn random_roots(bdd: &mut Bdd, seed: u64, vars: u32, roots: usize) -> Vec<NodeRef> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |bound: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % u64::from(bound)) as u32
+        };
+        let mut out = Vec::new();
+        let mut f = bdd.constant(false);
+        for _ in 0..roots {
+            for _ in 0..12 {
+                let a = bdd.literal(next(vars), next(2) == 1).unwrap();
+                let b = bdd.literal(next(vars), next(2) == 1).unwrap();
+                let term = bdd.and(a, b).unwrap();
+                f = match next(3) {
+                    0 => bdd.and(f, term).unwrap(),
+                    1 => bdd.or(f, term).unwrap(),
+                    _ => {
+                        let nf = bdd.not(f).unwrap();
+                        bdd.ite(term, nf, f).unwrap()
+                    }
+                };
+            }
+            out.push(f);
+        }
+        out
+    }
+
+    #[test]
+    fn indexed_sift_matches_the_reference_sifter() {
+        let vars = 10u32;
+        for seed in 1..=24u64 {
+            let mut bdd = Bdd::new();
+            let roots = random_roots(&mut bdd, seed, vars, 4);
+            let truth = |bdd: &Bdd| -> Vec<Vec<bool>> {
+                (0u32..1 << vars)
+                    .map(|bits| {
+                        let a: Vec<bool> = (0..vars).map(|k| bits >> k & 1 == 1).collect();
+                        roots.iter().map(|&r| bdd.eval(r, &a)).collect()
+                    })
+                    .collect()
+            };
+            let before = truth(&bdd);
+            let mut reference = bdd.clone();
+            reference_sift(&mut reference, &roots);
+            // Test builds also check the tracked size against a full walk
+            // after every swap of this sift.
+            bdd.sift(&roots);
+            assert_eq!(
+                bdd.variable_order(),
+                reference.variable_order(),
+                "seed {seed}: sifted orders differ"
+            );
+            assert_eq!(
+                bdd.reachable_count(&roots),
+                reference.reachable_count(&roots),
+                "seed {seed}: sifted sizes differ"
+            );
+            assert_eq!(bdd.node_count(), bdd.reachable_count(&roots));
+            assert_reduced(&bdd);
+            assert_eq!(
+                truth(&bdd),
+                before,
+                "seed {seed}: a root changed its function"
             );
         }
     }

@@ -504,7 +504,10 @@ mod tests {
             ThresholdLit::Const(false)
         );
         // Empty sum compares 0 against the threshold.
-        assert_eq!(weighted_at_least(&mut cnf, &[], 0), ThresholdLit::Const(true));
+        assert_eq!(
+            weighted_at_least(&mut cnf, &[], 0),
+            ThresholdLit::Const(true)
+        );
         assert_eq!(
             weighted_at_least(&mut cnf, &[], 1),
             ThresholdLit::Const(false)

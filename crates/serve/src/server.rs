@@ -122,7 +122,10 @@
 //! counter over the re-translated CNF, with seeds derived from the
 //! `(CNF, cube)` fingerprint so replies are deterministic across
 //! restarts, workers and thread counts. Every degraded `ok` reply is
-//! suffixed `approx <ε> <δ>` and counted in `stats` under `degraded`.
+//! suffixed `approx <ε> <δ>` and counted in `stats` under `degraded`. The
+//! label is the batch one: an `accuracy` reply sums 2·|regions|
+//! approximate counts, so its δ is union-bounded over them (capped at 1);
+//! a `count` reply is a single count and carries that count's δ.
 //! Accuracy and conditioned counts are defined over whatever space the
 //! ground truth constrains by construction (they match the batch `AccMc`
 //! either way) and are always available.
@@ -132,6 +135,7 @@ use crate::store::{CircuitStore, Circuits, Unit, UnitKey};
 use mcml::diffmc::DiffCounts;
 use mcml::fallback::{approx_conditioned, FallbackPolicy};
 use mcml::tree2cnf::TreeLabel;
+use mcml::{ApproxInfo, CountOutcome, OutcomeMeta};
 use mlkit::metrics::BinaryMetrics;
 use satkit::cnf::{Cnf, Lit};
 use std::collections::hash_map::DefaultHasher;
@@ -730,13 +734,15 @@ impl ShardData {
 
 /// The AccMC region-sum plan: one batched circuit sweep against φ, one
 /// against ¬φ, summed by region label — or, for a degraded unit, one
-/// deterministic approximate count per `(region, side)` with the reply
-/// labeled `approx <ε> <δ>`.
+/// deterministic approximate count per `(region, side)`. The reply is then
+/// labeled `approx <ε> <δ>` as the batch labels the same sum: the largest
+/// ε, and δ union-bounded over all 2·|regions| counts, capped at 1.
 fn accuracy_reply(unit: &Unit) -> Reply {
-    let (in_phi, in_not_phi, label) = match &unit.circuits {
+    let mut meta = OutcomeMeta::default();
+    let (in_phi, in_not_phi) = match &unit.circuits {
         Circuits::Compiled { phi, not_phi } => {
             let cubes: Vec<&[Lit]> = unit.regions.iter().map(|r| r.cube.as_slice()).collect();
-            (phi.count_cubes(&cubes), not_phi.count_cubes(&cubes), None)
+            (phi.count_cubes(&cubes), not_phi.count_cubes(&cubes))
         }
         Circuits::Degraded {
             phi,
@@ -744,13 +750,16 @@ fn accuracy_reply(unit: &Unit) -> Reply {
             epsilon,
             delta,
         } => {
-            let sweep = |cnf: &Cnf| {
+            let mut sweep = |cnf: &Cnf| {
                 unit.regions
                     .iter()
-                    .map(|r| degraded_count(cnf, &r.cube, *epsilon, *delta))
-                    .collect::<Vec<u128>>()
+                    .map(|r| meta.absorb(approx_conditioned(cnf, &r.cube, *epsilon, *delta)))
+                    .collect::<Option<Vec<u128>>>()
             };
-            (sweep(phi), sweep(not_phi), Some((*epsilon, *delta)))
+            match (sweep(phi), sweep(not_phi)) {
+                (Some(p), Some(n)) => (p, n),
+                _ => return Reply::exact("err degraded count failed".to_string()),
+            }
         }
     };
     let (mut tp, mut fp, mut tn, mut fn_) = (0u128, 0u128, 0u128, 0u128);
@@ -771,7 +780,8 @@ fn accuracy_reply(unit: &Unit) -> Reply {
         "ok {tp} {fp} {tn} {fn_} {} {} {} {}",
         m.accuracy, m.precision, m.recall, m.f1
     );
-    if let Some((epsilon, delta)) = label {
+    let label = meta.approx();
+    if let Some(ApproxInfo { epsilon, delta }) = label {
         text.push_str(&format!(" approx {epsilon} {delta}"));
     }
     Reply {
@@ -780,14 +790,19 @@ fn accuracy_reply(unit: &Unit) -> Reply {
     }
 }
 
-/// One (ε, δ)-approximate conditioned count over a degraded unit's CNF.
+/// One (ε, δ)-approximate conditioned count over a degraded unit's CNF;
+/// `None` if the count produced no value, which is never read as 0.
 /// The seed derives from the `(CNF, cube)` fingerprint inside
 /// [`approx_conditioned`], so the estimate is a pure function of the
 /// query — identical across restarts, workers and thread counts.
-fn degraded_count(cnf: &Cnf, cube: &[Lit], epsilon: f64, delta: f64) -> u128 {
-    approx_conditioned(cnf, cube, epsilon, delta)
-        .value()
-        .unwrap_or(0)
+fn degraded_count(cnf: &Cnf, cube: &[Lit], epsilon: f64, delta: f64) -> Option<u128> {
+    match approx_conditioned(cnf, cube, epsilon, delta) {
+        CountOutcome::Exact(value)
+        | CountOutcome::Approx {
+            estimate: value, ..
+        } => Some(value),
+        CountOutcome::BudgetExhausted { .. } => None,
+    }
 }
 
 /// The served diff: both models recounted over the **full feature
@@ -936,12 +951,13 @@ fn conditioned_reply(circuits: &Circuits, negated: bool, cube: &[Lit]) -> Reply 
             delta,
         } => {
             let cnf = if negated { not_phi } else { phi };
-            Reply {
-                text: format!(
-                    "ok {} approx {epsilon} {delta}",
-                    degraded_count(cnf, cube, *epsilon, *delta)
-                ),
-                degraded: true,
+            // One approximate count: its own (ε, δ) is the whole label.
+            match degraded_count(cnf, cube, *epsilon, *delta) {
+                Some(count) => Reply {
+                    text: format!("ok {count} approx {epsilon} {delta}"),
+                    degraded: true,
+                },
+                None => Reply::exact("err degraded count failed".to_string()),
             }
         }
     }

@@ -5,10 +5,10 @@
 //! serving side always runs the compiled region-sum plan, so these tests
 //! double as engine-conformance coverage for the serve crate.
 
-use mcml::accmc::CountingEngine;
+use mcml::accmc::{ApproxInfo, CountingEngine, OutcomeMeta};
 use mcml::artifact::{CircuitArtifact, RegionCover};
 use mcml::backend::CounterBackend;
-use mcml::counter::{cnf_fingerprint, CompiledCounter, ModelCounter};
+use mcml::counter::{cnf_fingerprint, CompiledCounter, CountOutcome, ModelCounter};
 use mcml::diffmc::DiffMc;
 use mcml::encode::CnfEncodable;
 use mcml::framework::{ExperimentConfig, ModelFamily, Runner};
@@ -111,7 +111,7 @@ fn ok_fields(reply: &str) -> Vec<String> {
 /// units <k> p50_ns <p> p99_ns <q>` — and returns the per-unit tail.
 /// With at least one query recorded, both quantiles must be positive and
 /// ordered.
-fn check_stats_header<'a>(stats: &'a [String], queries: u64, degraded: u64, units: u64) -> &'a [String] {
+fn check_stats_header(stats: &[String], queries: u64, degraded: u64, units: u64) -> &[String] {
     assert_eq!(stats[..2], ["queries".to_string(), queries.to_string()]);
     assert_eq!(stats[2..4], ["degraded".to_string(), degraded.to_string()]);
     assert_eq!(stats[4..6], ["units".to_string(), units.to_string()]);
@@ -274,7 +274,11 @@ fn stats_report_per_unit_latency_histograms() {
     // parse_unit_entries already checked the histogram sums to the hits
     // and stays within the 32 fixed buckets; the buckets must also be
     // sorted and non-empty, so the sparse encoding is canonical.
-    let indices: Vec<usize> = entries[0].buckets.iter().map(|(bucket, _)| *bucket).collect();
+    let indices: Vec<usize> = entries[0]
+        .buckets
+        .iter()
+        .map(|(bucket, _)| *bucket)
+        .collect();
     let mut sorted = indices.clone();
     sorted.sort_unstable();
     sorted.dedup();
@@ -669,13 +673,29 @@ fn circuitless_artifacts_serve_degraded_labeled_answers_under_approx_fallback() 
 
     // Degraded accuracy: an ok reply, labeled, and deterministic (the
     // seeds derive from the (CNF, cube) fingerprints, not from any
-    // run-time state).
+    // run-time state). The reply sums 2·|regions| approximate counts, so
+    // its label is the batch one: the largest ε and δ union-bounded over
+    // every count, capped at 1 — not one count's δ.
     let request = format!("accuracy {} {scope} DT", property.name());
     let first = client::query(&addr, &request).expect("degraded accuracy");
     assert!(first.starts_with("ok "), "got {first:?}");
+    let regions = tree.decision_regions().expect("tree regions").len();
+    let mut meta = OutcomeMeta::default();
+    for _ in 0..2 * regions {
+        meta.absorb(CountOutcome::Approx {
+            estimate: 0,
+            epsilon: 0.4,
+            delta: 0.2,
+        });
+    }
+    let ApproxInfo { epsilon, delta } = meta.approx().expect("approximate counts");
     assert!(
-        first.ends_with("approx 0.4 0.2"),
-        "degraded replies must be labeled: {first:?}"
+        first.ends_with(&format!("approx {epsilon} {delta}")),
+        "degraded replies must carry the union-bound label: {first:?}"
+    );
+    assert!(
+        first.ends_with("approx 0.4 1"),
+        "{regions} regions: δ saturates at 1: {first:?}"
     );
     let second = client::query(&addr, &request).expect("degraded accuracy again");
     assert_eq!(first, second, "degraded answers must be deterministic");

@@ -221,7 +221,11 @@ fn quantized_predictions_equal_encoded_semantics_on_every_input() {
                     })
                     .map(|region| &region.label)
                     .collect();
-                assert_eq!(holding.len(), 1, "input {bits:b} must fall in exactly one cube");
+                assert_eq!(
+                    holding.len(),
+                    1,
+                    "input {bits:b} must fall in exactly one cube"
+                );
                 let predicted = model.as_classifier().predict(&features);
                 assert_eq!(
                     *holding[0] == TreeLabel::True,

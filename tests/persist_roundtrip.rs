@@ -11,7 +11,6 @@ use mcml::counter::{CachedCounter, CompiledCounter, ModelCounter};
 use mcml::framework::{ExperimentConfig, ModelFamily, Runner};
 use mcml::persist::{cache_file_name, load_outcomes, save_outcomes};
 use mlkit::data::Dataset;
-use mlkit::forest::{ForestConfig, RandomForest};
 use mlkit::tree::{DecisionTree, TreeConfig};
 use relspec::instance::RelInstance;
 use relspec::properties::Property;
